@@ -174,10 +174,7 @@ def cmd_theory(args) -> int:
         else:
             if args.k is None or args.k == "longshot":
                 raise ValueError("ccdf for a single field size needs an integer --k")
-            xs = args.x or [
-                orderstats.ccdf_inverse(args.n, args.k, (i + 0.5) / args.grid)
-                for i in range(args.grid)
-            ]
+            xs = args.x or orderstats.quantile_grid(args.n, args.k, args.grid).tolist()
             for x in sorted(xs):
                 rows.append(
                     {"n": args.n, "k": args.k, "statistic": "ccdf", "x": x,
@@ -253,9 +250,7 @@ def cmd_simulate(args) -> int:
     else:  # ccdf
         if args.k is None or args.k == "longshot":
             raise ValueError("statistic 'ccdf' needs an integer --k")
-        xs = args.x or [
-            orderstats.ccdf_inverse(n, args.k, (i + 0.5) / args.grid) for i in range(args.grid)
-        ]
+        xs = args.x or orderstats.quantile_grid(n, args.k, args.grid).tolist()
         xs = sorted(xs)
         estimates, ses = montecarlo.estimate_ccdf(n, args.k, xs, config, args.workers)
         for x, est, se in zip(xs, estimates, ses):

@@ -3,8 +3,7 @@
 Cutting [0, 1] at n-1 independent uniform points yields n segments whose
 sorted lengths z_(1) >= ... >= z_(n) have fully explicit laws:
 
-  survival      P[z_(k) > x]  via an alternating inclusion-exclusion sum over
-                the positive-part kernel [1 - m*x]_+^(n-1)
+  survival      P[z_(k) > x] = sum_{j=k}^n (-1)^(j-k) C(j-1, k-1) C(n, j) [1 - j x]_+^(n-1)
   first moment  E[z_(k)]   = H(n, k) / n        with H(n, k) = sum_{j=k}^n 1/j
   second moment E[z_(k)^2] = 2 / (n (n+1)) * sum_{j=k}^n H(n, j) / j
 
@@ -12,20 +11,21 @@ The size-biased (conditional-on-win) mean E[z_(k) | segment contains a
 uniform random point] equals E[z_(k)^2] / E[z_(k)], and the mean length of
 the segment containing the point is 2 / (n + 1).
 
-The alternating sums lose precision as n grows: terms up to ~3^n cancel to a
-probability.  Up to ``_FLOAT_MAX_N`` segments they are evaluated in double
-precision with compensated (Kahan) summation; beyond that the evaluation
-switches to mpmath with enough working digits to absorb the cancellation,
-and the result is clamped to [0, 1].
+The survival sum (Holst 1980; Feller vol. II, I.7) cancels terms up to ~3^n
+to a probability.  One kernel evaluates it over a whole grid in double
+precision with a rounding bound per point, and sums the points whose bound
+exceeds ``SURVIVAL_TOL`` = 1e-12 again exactly in integers: every survival
+value, for every n, is within 1e-12 of exact.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -44,9 +44,8 @@ __all__ = [
     "winner_segment_mean",
 ]
 
-# Largest n evaluated in plain double precision; above this the alternating
-# survival sum cancels catastrophically and mpmath takes over.
-_FLOAT_MAX_N = 20
+# Stated absolute accuracy of every survival value, for every n.
+SURVIVAL_TOL = 1e-12
 
 
 def _check_field_size(n: int) -> None:
@@ -100,65 +99,50 @@ def winner_segment_mean(n: int) -> float:
     return 2.0 / (n + 1)
 
 
-def _ccdf_terms_float(n: int, k: int, x: float) -> float:
-    # Inclusion-exclusion survival sum, Kahan-compensated.  Terms vanish once
-    # the kernel multiplier m satisfies m*x >= 1, and multipliers only grow,
-    # so every loop breaks early.
-    total = 0.0
-    comp = 0.0
+@functools.lru_cache(maxsize=1024)
+def _terms(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Exact weights c_j = (-1)^(j-k) C(j-1, k-1) C(n, j), j = k..n, of the
+    at-least-k sum, and their float rows (c_j) and (|c_j|), read-only."""
+    coeffs = tuple((-1) ** (j - k) * math.comb(j - 1, k - 1) * math.comb(n, j) for j in range(k, n + 1))
+    try:
+        weights = np.array([coeffs, [abs(c) for c in coeffs]], dtype=float)
+    except OverflowError:  # n in the hundreds: NaN sums send every point to the exact sum
+        weights = np.full((2, len(coeffs)), np.inf)
+    weights.flags.writeable = False
+    return coeffs, weights
 
-    def add(term: float) -> None:
-        nonlocal total, comp
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
 
-    p = n - 1
-    for j in range(1, k):
-        if j * x >= 1.0:
+def _survival_exact(n: int, k: int, x: float, coeffs: tuple[int, ...]) -> float:
+    # x = m / d, d a power of two: the sum is an integer over d^(n-1), and
+    # integer true division rounds it correctly.
+    m, d = x.as_integer_ratio()
+    total = 0
+    for j, c in enumerate(coeffs, start=k):
+        if d <= j * m:
             break
-        cj = float(math.comb(n, j))
-        for ell in range(0, n - j + 1):
-            if (j + ell) * x >= 1.0:
-                break
-            kernel = (1.0 - (j + ell) * x) ** p
-            term = cj * math.comb(n - j, ell) * kernel
-            add(term if (ell % 2 == 1) else -term)
-    for ell in range(1, n + 1):
-        if ell * x >= 1.0:
-            break
-        kernel = (1.0 - ell * x) ** p
-        term = math.comb(n, ell) * kernel
-        add(term if (ell % 2 == 1) else -term)
-    return total
+        total += c * (d - j * m) ** (n - 1)
+    return total / d ** (n - 1)
 
 
-def _ccdf_terms_mp(n: int, k: int, x: float) -> float:
-    # Same sum in software extended precision; digits scale with the ~3^n
-    # worst-case term magnitude so the cancelled result keeps ~25 digits.
-    digits = 25 + int(math.ceil(0.48 * n))
-    with mpmath.workdps(digits):
-        xm = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        p = n - 1
-        for j in range(1, k):
-            if j * x >= 1.0:
-                break
-            cj = math.comb(n, j)
-            inner = mpmath.mpf(0)
-            for ell in range(0, n - j + 1):
-                if (j + ell) * x >= 1.0:
-                    break
-                term = math.comb(n - j, ell) * (1 - (j + ell) * xm) ** p
-                inner += term if (ell % 2 == 1) else -term
-            total += cj * inner
-        for ell in range(1, n + 1):
-            if ell * x >= 1.0:
-                break
-            term = math.comb(n, ell) * (1 - ell * xm) ** p
-            total += term if (ell % 2 == 1) else -term
-        return float(total)
+def _survival_float(n: int, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The survival sum in double precision at points x in [0, 1/k], and its rounding bound."""
+    weights = _terms(n, k)[1]
+    j = np.arange(k, n + 1.0)
+    # Veltkamp split x = hi + lo, with hi short enough that j*hi and j*lo are
+    # exact products: 1 - j*hi is then exact where it cancels (Sterbenz), so
+    # each base 1 - j x is within 2u relative, u = eps/2, however far it cancels.
+    scaled = float(2 ** n.bit_length() + 1) * x
+    hi = scaled - (scaled - x)
+    lo = x - hi
+    base = np.maximum((1.0 - hi[:, None] * j) - lo[:, None] * j, 0.0)
+    # Rows are summed one by one along the fast axis: unlike a BLAS product,
+    # a point's value then does not depend on the rest of the grid.
+    with np.errstate(invalid="ignore"):
+        value, magnitude = ((base ** (n - 1))[:, None, :] * weights).sum(axis=2).T
+    # Bound relative to sum |c_j| kernel_j: 2(n-1)u base, 2u pow (1 ulp), 2u
+    # weight and product, (n-1)u sum: (3n+1)u to first order; (2n+4) eps =
+    # (4n+8)u leaves room for second-order terms and a pow within 4 ulp.
+    return value, (2 * n + 4) * 2.0**-52 * magnitude
 
 
 def ccdf_kth_largest(n: int, k: int, x: float) -> float:
@@ -166,26 +150,63 @@ def ccdf_kth_largest(n: int, k: int, x: float) -> float:
 
     x outside [0, 1] is clamped rather than rejected: any x <= 0 returns 1
     and any x >= 1/k returns 0 exactly (k segments of length > 1/k cannot
-    fit in the unit interval).  The result is clamped to [0, 1].
+    fit in the unit interval).  NaN is rejected.  This is
+    ``ccdf_kth_largest_grid`` on a grid of length one.
     """
-    _check_rank(n, k)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x <= 0.0:
-        return 1.0
-    if k * x >= 1.0:
-        return 0.0
-    if n <= _FLOAT_MAX_N:
-        value = _ccdf_terms_float(n, k, x)
-    else:
-        value = _ccdf_terms_mp(n, k, x)
-    return min(1.0, max(0.0, value))
+    return float(ccdf_kth_largest_grid(n, k, [float(x)])[0])
 
 
 def ccdf_kth_largest_grid(n: int, k: int, xs: Sequence[float]) -> np.ndarray:
-    """Vectorized ``ccdf_kth_largest`` over a grid of points."""
-    return np.array([ccdf_kth_largest(n, k, x) for x in np.asarray(xs, dtype=float)])
+    """``ccdf_kth_largest`` at every point of an array, in one kernel call.
+
+    Each value is within ``SURVIVAL_TOL`` of exact: the float sum stands where
+    its rounding bound allows, other points (NaN bounds too) are summed exactly.
+    """
+    _check_rank(n, k)
+    n, k = int(n), int(k)
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    if np.isnan(flat).any():
+        raise ValueError("x must not be NaN")
+    out = (flat <= 0.0).astype(float)
+    inside = np.flatnonzero((flat > 0.0) & (k * flat < 1.0))
+    value, bound = _survival_float(n, k, flat[inside])
+    out[inside] = np.clip(value, 0.0, 1.0)
+    coeffs = _terms(n, k)[0]
+    for i in inside[~(bound <= SURVIVAL_TOL)]:
+        out[i] = _survival_exact(n, k, float(flat[i]), coeffs)
+    return out.reshape(xs.shape)
+
+
+# Cut points of a multisection round: 64 pieces fix 6 bits of x per kernel call.
+_STEPS = np.arange(1, 64) / 64
+
+
+def _inverse(n: int, k: int, levels: np.ndarray) -> np.ndarray:
+    """Smallest x with P[z_(k) > x] <= p, for every level p in (0, 1) at once.
+
+    Brackets keep S(lo) > p >= S(hi), S as ``ccdf_kth_largest`` returns it,
+    and are all cut at ``_STEPS`` in one float kernel call a round until lo
+    and hi are adjacent floats.  A cut is judged by its float sum if that is
+    certified or clear of p by twice its bound; the few next to the crossing
+    are summed exactly, in a bisection over the cuts."""
+    coeffs = _terms(n, k)[0]
+    rows = np.arange(levels.size)
+    lo = np.zeros(levels.size)
+    hi = np.full(levels.size, 1.0 / k)
+    while np.any(np.nextafter(lo, hi) < hi):
+        inner = np.minimum(lo[:, None] + (hi - lo)[:, None] * _STEPS, hi[:, None])
+        value, bound = (a.reshape(inner.shape) for a in _survival_float(n, k, inner.ravel()))
+        gap = value - levels[:, None]
+        # +1 surely above p, -1 surely at or below it, 0 too close to call
+        side = np.where((bound <= SURVIVAL_TOL) | (np.abs(gap) > 2.0 * bound), np.where(gap > 0.0, 1, -1), 0)
+        first = np.cumprod(side > 0, axis=1).sum(axis=1)
+        for r in np.flatnonzero(first < _STEPS.size):  # bisect past points too close to call
+            first[r] = bisect.bisect_left(range(_STEPS.size), True, lo=first[r], key=lambda i: (
+                side[r, i] < 0 if side[r, i] else _survival_exact(n, k, float(inner[r, i]), coeffs) <= levels[r]))
+        points = np.column_stack([lo, inner, hi])
+        lo, hi = points[rows, first], points[rows, first + 1]
+    return hi
 
 
 def quantile_grid(n: int, k: int, count: int = 20) -> np.ndarray:
@@ -196,14 +217,15 @@ def quantile_grid(n: int, k: int, count: int = 20) -> np.ndarray:
     the distribution's bulk (useful for Monte Carlo comparisons, where the
     binomial standard error degenerates near survival 0 or 1).
     """
+    _check_rank(n, k)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     levels = (np.arange(count) + 0.5) / count
-    return np.array(sorted(ccdf_inverse(n, k, p) for p in levels))
+    return np.sort(_inverse(int(n), int(k), levels))
 
 
 def ccdf_inverse(n: int, k: int, p: float) -> float:
-    """Smallest x with P[z_(k) > x] <= p, by bisection on [0, 1/k]."""
+    """Smallest x with P[z_(k) > x] <= p, by multisection on [0, 1/k]."""
     _check_rank(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p!r} out of [0, 1]")
@@ -211,14 +233,7 @@ def ccdf_inverse(n: int, k: int, p: float) -> float:
         return 0.0
     if p <= 0.0:
         return 1.0 / k
-    lo, hi = 0.0, 1.0 / k
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ccdf_kth_largest(n, k, mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_inverse(int(n), int(k), np.array([float(p)]))[0])
 
 
 class SegmentLaw:
@@ -350,10 +365,7 @@ def mixture(hist: FieldSizeHistogram, statistic: str, *, k=None, x: float | None
     if statistic == "ccdf":
         if x is None:
             raise ValueError("statistic 'ccdf' needs an evaluation point x")
-        return sum(
-            w * ccdf_kth_largest(n, _resolve_rank(n, k, statistic=statistic), x)
-            for n, w in weights.items()
-        )
+        return float(mixture_ccdf(hist, k, [x])[0])
     fn = {
         "mean": mean_kth_largest,
         "second_moment": second_moment_kth_largest,

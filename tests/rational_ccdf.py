@@ -4,15 +4,16 @@ Every Python float is an exact rational, so evaluating the survival sums
 with ``fractions.Fraction`` gives the mathematically exact value at the
 same input the library sees.  Two independent forms are provided:
 
-``ccdf_exact``
-    the library's own double-sum structure (survival of at-least-one minus
-    the exactly-j corrections), evaluated without rounding, certifying the
-    floating-point implementation term for term;
-
 ``ccdf_compact_exact``
     the classical at-least-k inclusion-exclusion closed form
     sum_{j=k}^{n} (-1)^(j-k) C(j-1, k-1) C(n, j) (1 - j x)_+^(n-1),
-    an algebraically different expression that certifies the formula itself.
+    the sum the library's kernel evaluates, here without rounding, so it
+    certifies the kernel's stated accuracy;
+
+``ccdf_exact``
+    a double sum, survival of at-least-one minus the exactly-j corrections:
+    an algebraically different arrangement of the same inclusion-exclusion,
+    which certifies the closed form itself.
 
 ``mean_exact`` and ``second_moment_exact`` are the harmonic closed forms in
 exact arithmetic.

@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from brokenstick import orderstats
 from brokenstick.orderstats import (
+    SURVIVAL_TOL,
     FieldSizeHistogram,
     SegmentLaw,
     ccdf_inverse,
     ccdf_kth_largest,
+    ccdf_kth_largest_grid,
     conditional_mean_given_win,
     mean_kth_largest,
     mixture,
@@ -164,8 +168,8 @@ def test_ccdf_smallest_rank_specialization(n):
 
 
 def test_ccdf_certified_by_exact_rational_evaluation():
-    # the library's sum and two exact-rational evaluations (same structure
-    # and an algebraically independent closed form) must agree tightly
+    # two algebraically different exact-rational evaluations agree exactly,
+    # and the library is within its stated tolerance of them
     rng = np.random.default_rng(99)
     for n in range(1, 13):
         for k in range(1, n + 1):
@@ -175,12 +179,71 @@ def test_ccdf_certified_by_exact_rational_evaluation():
                 exact = ccdf_exact(n, k, x)
                 assert exact == ccdf_compact_exact(n, k, x)
                 assert ccdf_kth_largest(n, k, x) == pytest.approx(
-                    float(exact), abs=1e-10
+                    float(exact), abs=SURVIVAL_TOL
                 )
 
 
+def test_ccdf_certified_to_stated_tolerance_up_to_n40(monkeypatch):
+    # every value within SURVIVAL_TOL of exact, from the scalar call and the
+    # grid call alike, on points of both the float sum and the exact fallback
+    exact_calls = []
+    exact_sum = orderstats._survival_exact
+    monkeypatch.setattr(
+        orderstats, "_survival_exact", lambda *args: exact_calls.append(args) or exact_sum(*args)
+    )
+    rng = np.random.default_rng(2024)
+    points = 0
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            xs = np.concatenate([rng.random(2) / k, rng.random(1) / (4 * k), [1.0 / (k + 0.5)]])
+            grid = ccdf_kth_largest_grid(n, k, xs)
+            for x, from_grid in zip(xs.tolist(), grid.tolist()):
+                exact = ccdf_compact_exact(n, k, x)
+                assert abs(Fraction(from_grid) - exact) <= SURVIVAL_TOL, (n, k, x)
+                assert abs(Fraction(ccdf_kth_largest(n, k, x)) - exact) <= SURVIVAL_TOL, (n, k, x)
+            points += xs.size
+    # both paths were exercised: some points, but far from all, summed exactly
+    assert 0 < len(exact_calls) < points
+
+
+@pytest.mark.parametrize(
+    "n,k,x",
+    [(1, 1, 0.5), (7, 3, 0.05), (12, 6, 0.06), (20, 1, 0.03), (20, 8, 0.02),
+     (40, 5, 0.03), (40, 40, 0.01), (9, 2, -1.0), (9, 2, 0.5), (64, 32, 0.01)],
+)
+def test_scalar_is_a_grid_of_length_one(n, k, x):
+    grid = ccdf_kth_largest_grid(n, k, [x])
+    assert grid.shape == (1,)
+    assert ccdf_kth_largest(n, k, x).hex() == float(grid[0]).hex()
+    # and a point's value does not depend on the grid around it
+    wide = ccdf_kth_largest_grid(n, k, np.insert(np.linspace(0.0, 1.0 / k, 37), 5, x))
+    assert float(wide[5]).hex() == float(grid[0]).hex()
+
+
+def test_grid_rejects_nan_and_clamps_like_scalar():
+    for call in (lambda: ccdf_kth_largest(6, 2, float("nan")),
+                 lambda: ccdf_kth_largest_grid(6, 2, [0.1, float("nan")])):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+    xs = [-np.inf, -1.0, -0.0, 0.0, 0.5, 0.75, 1.0, 3.0, np.inf]
+    expected = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # k x >= 1 from x = 0.5
+    assert ccdf_kth_largest_grid(6, 2, xs).tolist() == expected
+    assert [ccdf_kth_largest(6, 2, x) for x in xs] == expected
+    assert ccdf_kth_largest_grid(6, 2, [[0.0, 0.1], [0.2, 0.9]]).shape == (2, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_survival_summed_over_ranks_counts_long_segments(n):
+    # sum_k P[z_(k) > x] = E[#segments longer than x] = n (1 - x)^(n-1)
+    for x in (x for x in (1e-4, 0.01, 0.5 / n, 0.99 / n, 1.5 / n, 0.3, 0.8, 0.99) if x < 1):
+        total = math.fsum(ccdf_kth_largest(n, k, x) for k in range(1, n + 1))
+        exact = n * (1 - Fraction(x)) ** (n - 1)
+        assert abs(Fraction(total) - exact) <= n * SURVIVAL_TOL + 1e-14, x
+
+
 def test_ccdf_extended_precision_path():
-    # n above the double-precision limit goes through mpmath
+    # large n, where most of the float sum cancels past the tolerance and
+    # the exact integer sum takes over
     rng = np.random.default_rng(7)
     for n in (25, 40, 64):
         for k in (1, 2, n // 2, n - 1, n):
@@ -210,6 +273,22 @@ def test_ccdf_inverse_round_trip():
     assert ccdf_inverse(5, 2, 0.0) == 0.5
     with pytest.raises(ValueError):
         ccdf_inverse(5, 2, 1.5)
+
+
+@pytest.mark.parametrize("n", range(21, 41))
+def test_inverse_round_trip_past_n20(n):
+    # x is the smallest float with survival <= p: the float below it is above p
+    rng = np.random.default_rng(n)
+    for k in sorted({1, 2, n // 2, n - 1, n}):
+        for p in rng.uniform(0.01, 0.99, 2):
+            x = ccdf_inverse(n, k, p)
+            assert ccdf_kth_largest(n, k, x) <= p < ccdf_kth_largest(n, k, np.nextafter(x, 0.0))
+            assert ccdf_kth_largest(n, k, x) == pytest.approx(p, abs=3 * SURVIVAL_TOL)
+        xs = quantile_grid(n, k, 5)
+        levels = ((np.arange(5) + 0.5) / 5)[::-1]
+        assert np.all(ccdf_kth_largest_grid(n, k, xs) <= levels)
+        assert np.all(ccdf_kth_largest_grid(n, k, np.nextafter(xs, 0.0)) > levels)
+        assert np.allclose(ccdf_kth_largest_grid(n, k, xs), levels, rtol=0, atol=3 * SURVIVAL_TOL)
 
 
 def test_quantile_grid_sorted_and_interior():
