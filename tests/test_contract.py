@@ -1,0 +1,257 @@
+"""Byte contract of ``analyze``: sha256 digests of every output file.
+
+The digests pin report.csv, report.json, rejections.csv and the ten curve
+CSVs for a small seeded synthetic market and for a hand-written tie-heavy
+CSV, each analyzed with and without ``--renormalize``, plus the seeded
+synth CSV itself.  A refactor of the synth, ranking or report code must
+reproduce them bit for bit; a change that moves a number on purpose
+re-records them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from brokenstick.cli import EXIT_OK, main
+
+OUTPUTS = (
+    "report.csv",
+    "report.json",
+    "rejections.csv",
+    *(
+        f"eccdf_rank{label}_{kind}.csv"
+        for label in ("1", "2", "3", "4", "longshot")
+        for kind in ("empirical", "theory")
+    ),
+)
+
+# Ties inside and across ranks, a tied winner, ids out of order, rows of one
+# race split apart, a race below the field-size cut, and one race or row for
+# every rejection reason (a blank race id included).
+TIE_HEAVY_CSV = """\
+race_id,horse_id,decimal_odds,won
+t01,h5,5.0,0
+t01,h2,5.0,0
+t01,h4,5.0,0
+t01,h1,5.0,0
+t01,h3,5.0,1
+t02,hB,4.0,0
+t02,hA,4.0,0
+t02,hD,5.0,1
+t02,hC,5.0,0
+t02,hE,10.0,0
+t02,hF,20.0,0
+t03,h08,8.0,1
+t03,h07,8.0,0
+t03,h06,8.0,0
+t03,h05,8.0,0
+t03,h04,8.0,0
+t03,h03,8.0,0
+t03,h02,8.0,0
+t03,h01,8.0,0
+t04,x1,3.0,0
+t05,a,3.5,1
+t04,x2,3.0,0
+t05,b,7.0,0
+t04,x3,6.0,0
+t05,c,7.0,0
+t04,x4,12.0,1
+t05,d,7.0,0
+t04,x5,12.0,0
+t05,e,14.0,0
+t05,f,14.0,0
+t05,g,14.0,0
+t06,h1,4.0,1
+t06,h2,4.0,0
+t06,h3,4.0,0
+t06,h4,4.0,0
+t07,h1,5.0,1
+t07,h2,5.0,1
+t07,h3,5.0,0
+t07,h4,5.0,0
+t07,h5,5.0,0
+t08,h1,2.0,1
+t08,h2,x,0
+t08,h3,2.0,0
+,h1,2.0,1
+t09,h1,5.0,1
+t09,h1,5.0,0
+t09,h2,5.0,0
+t09,h3,5.0,0
+t09,h4,5.0,0
+t10,p1,6.0,0
+t10,p2,6.0,0
+t10,p3,9.0,0
+t10,p4,9.0,1
+t10,p5,9.0,0
+t10,p6,12.0,0
+t10,p7,12.0,0
+t10,p8,18.0,0
+t10,p9,18.0,0
+t11,h1,2.5,0
+t11,h2,4.0,0
+t11,h3,6.0,0
+t11,h4,10.0,0
+t11,h5,15.0,1
+t12,h01,10.0,0
+t12,h02,10.0,0
+t12,h03,10.0,0
+t12,h04,10.0,0
+t12,h05,10.0,0
+t12,h06,10.0,0
+t12,h07,10.0,1
+t12,h08,10.0,0
+t12,h09,10.0,0
+t12,h10,10.0,0
+"""
+
+SYNTH_CSV_DIGEST = "8a5783c6c3c9460f95447cdfe0c4fcb8f923c943bd2915ce7f44b64852d2f7a5"
+
+DIGESTS = {
+    ("synth",): {
+        "report.csv":
+            "9b9a54b2b9b2199e3db8e1db45e8524c424bda1a2cda3917c43412e25544fd96",
+        "report.json":
+            "59fb20528e46db8e6e838920a3785db91374e7f1e88319a7f83ab730d7a78c7a",
+        "rejections.csv":
+            "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
+        "eccdf_rank1_empirical.csv":
+            "f69742833aec0f49428d969679dc6af0f22152a958e617797f554ac306e0e948",
+        "eccdf_rank1_theory.csv":
+            "5b7a68405ee9d01a3eaa1a6dc71f1662cd8e69daa9d987f0349047ce5ef92322",
+        "eccdf_rank2_empirical.csv":
+            "70fc021855ab6576ca5f790626e58442d54f2253adfc7fd19dbf4e76de56e437",
+        "eccdf_rank2_theory.csv":
+            "06367ec6ea646c7d0b39b9f0a1b5c76006c97cf1451c80c29e0eaa9af315cc56",
+        "eccdf_rank3_empirical.csv":
+            "ca9bfcaf8f3493494730322d2634ab703ef84aea6cf39795865b2fb8b0d58e11",
+        "eccdf_rank3_theory.csv":
+            "ea04df03cde39c39dc7173347f768e55d74f6308d851720ca99312d13bce2040",
+        "eccdf_rank4_empirical.csv":
+            "4697713f4d6e6995530ea1d4da27cf39e17909ce78c5632135d71994cb923228",
+        "eccdf_rank4_theory.csv":
+            "fe8b90bb18a9290b622e47dfe264f5c5dcace7eec3e1e85e6cab13983ea00584",
+        "eccdf_ranklongshot_empirical.csv":
+            "81649d53f0050e00d0ff65278f83c4727dd7905ab3787b0290a12f9f2063c7d9",
+        "eccdf_ranklongshot_theory.csv":
+            "f927e1ff4c99507a7820065ec85e779a7e0cbcab230e6bbe525e61934c7a27d4",
+    },
+    ("synth", "--renormalize"): {
+        "report.csv":
+            "9b9a54b2b9b2199e3db8e1db45e8524c424bda1a2cda3917c43412e25544fd96",
+        "report.json":
+            "b94ab9dd73a3aadf424952eba74f2fef879054c285a5891b0a8c309bcd804e5a",
+        "rejections.csv":
+            "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
+        "eccdf_rank1_empirical.csv":
+            "f69742833aec0f49428d969679dc6af0f22152a958e617797f554ac306e0e948",
+        "eccdf_rank1_theory.csv":
+            "5b7a68405ee9d01a3eaa1a6dc71f1662cd8e69daa9d987f0349047ce5ef92322",
+        "eccdf_rank2_empirical.csv":
+            "70fc021855ab6576ca5f790626e58442d54f2253adfc7fd19dbf4e76de56e437",
+        "eccdf_rank2_theory.csv":
+            "06367ec6ea646c7d0b39b9f0a1b5c76006c97cf1451c80c29e0eaa9af315cc56",
+        "eccdf_rank3_empirical.csv":
+            "ca9bfcaf8f3493494730322d2634ab703ef84aea6cf39795865b2fb8b0d58e11",
+        "eccdf_rank3_theory.csv":
+            "ea04df03cde39c39dc7173347f768e55d74f6308d851720ca99312d13bce2040",
+        "eccdf_rank4_empirical.csv":
+            "4697713f4d6e6995530ea1d4da27cf39e17909ce78c5632135d71994cb923228",
+        "eccdf_rank4_theory.csv":
+            "fe8b90bb18a9290b622e47dfe264f5c5dcace7eec3e1e85e6cab13983ea00584",
+        "eccdf_ranklongshot_empirical.csv":
+            "81649d53f0050e00d0ff65278f83c4727dd7905ab3787b0290a12f9f2063c7d9",
+        "eccdf_ranklongshot_theory.csv":
+            "f927e1ff4c99507a7820065ec85e779a7e0cbcab230e6bbe525e61934c7a27d4",
+    },
+    ("ties",): {
+        "report.csv":
+            "8fe84da1bcd02656974baef39f0e3cb5c28ae1f12d6ccff5b375e52096ab6f89",
+        "report.json":
+            "7f90f6a9f60f573f45bd29980a4eaac998e424f1ec4289c587476a31d0afffa0",
+        "rejections.csv":
+            "fe41315844d01bc6ab52908c2b2913d418b4b0f8f0308c06046e5487290d0afc",
+        "eccdf_rank1_empirical.csv":
+            "a16c9d96304c7cef153a490e2af5901529865d984b3c8eab7b172418d6ac14fe",
+        "eccdf_rank1_theory.csv":
+            "76a05badff15726f2ec00b5b6e185bfc12a5dbb211b7f9a5f39d45bdb8ba524b",
+        "eccdf_rank2_empirical.csv":
+            "268feea5266195a4e92305d43e5044a174cb4441374be7c752a7a89d0f2c8114",
+        "eccdf_rank2_theory.csv":
+            "2eb2c1dfca24e54193dac629c05bf5ca6a5cd0a527d5a313f6ec179ddf23bf52",
+        "eccdf_rank3_empirical.csv":
+            "cdedca4bca74a1f658651c3c38bb0371c60f789e32aac0e90d195cdbb1542cc3",
+        "eccdf_rank3_theory.csv":
+            "d6aff7ccf1c1dd88563d463cd47dfff96c4c2db957b2f4449cb8b6114d16a992",
+        "eccdf_rank4_empirical.csv":
+            "f08521441566fbb21fca87e1a7b019edaad0857a26b112e5f92c2cd48b3acf03",
+        "eccdf_rank4_theory.csv":
+            "5c6462ef519d8324f576861eff1639212650ec0bcd21c5d3febd0b438d1813e6",
+        "eccdf_ranklongshot_empirical.csv":
+            "e0272414840e07baefe806f81b7da36d5abb959e72a7cfdb55c919149045bc4c",
+        "eccdf_ranklongshot_theory.csv":
+            "0af759815f2d89276e896fc9f2810cbaa216f0c6f39cca778de3ef2daef5cf88",
+    },
+    ("ties", "--renormalize"): {
+        "report.csv":
+            "6bb76365f822cd9546150857bd192e29ec35fcfbd40e7b5a1de906bfe1bc815b",
+        "report.json":
+            "d0c544f77837400320ec896216c9a91ea3ae53427c187e68736de2d58a7e3f87",
+        "rejections.csv":
+            "fe41315844d01bc6ab52908c2b2913d418b4b0f8f0308c06046e5487290d0afc",
+        "eccdf_rank1_empirical.csv":
+            "db54efcd8303d741d922a7fc247149c619864aacdfc79b3665a0b5519c9ff565",
+        "eccdf_rank1_theory.csv":
+            "c256f5d9dd63ea433bc93586266eb932145465c5ff4e3f4f1fc8fad90d50f184",
+        "eccdf_rank2_empirical.csv":
+            "468c0f89e4ea15a4a9d825ecdb7105b6c0238367aff23bf7af445eb8c19dfcd0",
+        "eccdf_rank2_theory.csv":
+            "8b3ddcdbf1402b8fe25601a1dd1bf0e13af4f07efab56fb2661ed248b5f147d5",
+        "eccdf_rank3_empirical.csv":
+            "59a0c825b94b97927673241fe0c56ea40ac5e8891c0b23940bd1a7f85ec2076d",
+        "eccdf_rank3_theory.csv":
+            "2b03640fe7640905be3d081c7a0644ff731e56e7f861bd7444fe2cb2fbfeb1fd",
+        "eccdf_rank4_empirical.csv":
+            "f6b9c6e69e66ba1d1169d9ea9456d69c140e6140d0f579ed42b8048707c80baf",
+        "eccdf_rank4_theory.csv":
+            "85ef55b17955dd17c0e0c69dffa63abcc3739618d7346915cdee205846d6bd06",
+        "eccdf_ranklongshot_empirical.csv":
+            "c1a81c3b1e825631728d8b1441346485d7fc6a53d63c8f17db12dbf0c6ce50d7",
+        "eccdf_ranklongshot_theory.csv":
+            "d957f48b43ce7ce58ea99342519ba68d4b171107ce880c50e87f9d338acaa6ae",
+    },
+}
+
+
+def _digests(capsys, tmp_path, csv_path, extra):
+    outdir = tmp_path / "out"
+    code = main(["analyze", "--input", str(csv_path), "--output-dir", str(outdir), *extra])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    written = sorted(p.name for p in outdir.iterdir())
+    assert written == sorted(OUTPUTS)
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def synth_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("synth") / "races.csv"
+    code = main(["synth", "--races", "1500", "--n-min", "5", "--n-max", "16",
+                 "--seed", "2024", "--output", str(path)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_CSV_DIGEST
+    return path
+
+
+@pytest.mark.parametrize("extra", [[], ["--renormalize"]], ids=["raw", "renormalized"])
+def test_synth_market_outputs_are_pinned(capsys, tmp_path, synth_csv, extra):
+    key = ("synth",) + tuple(extra)
+    assert _digests(capsys, tmp_path, synth_csv, extra) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("extra", [[], ["--renormalize"]], ids=["raw", "renormalized"])
+def test_tie_heavy_outputs_are_pinned(capsys, tmp_path, extra):
+    path = tmp_path / "ties.csv"
+    path.write_text(TIE_HEAVY_CSV, encoding="utf-8")
+    key = ("ties",) + tuple(extra)
+    assert _digests(capsys, tmp_path, path, extra) == DIGESTS[key]
