@@ -7,10 +7,7 @@ from .analysis import (
     Cell,
     RankRow,
     build_report,
-    conditional_table,
     eccdf_per_rank,
-    empirical_table,
-    winner_odds_average,
 )
 from .montecarlo import (
     CONSTRUCTIONS,
@@ -21,8 +18,7 @@ from .montecarlo import (
     estimate_mean,
     estimate_second_moment,
     estimate_winner_stats,
-    sample_division_exponential,
-    sample_division_uniform,
+    sample_divisions,
     sample_race,
 )
 from .orderstats import (
@@ -44,11 +40,9 @@ from .racedata import (
     FieldSizeBucket,
     RaceEntry,
     RaceRecord,
-    RankedRace,
+    RaceTable,
     Rejection,
-    field_size_histogram,
     parse_races,
-    rank_race,
     rank_races,
     write_races_csv,
 )

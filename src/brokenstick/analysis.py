@@ -38,7 +38,7 @@ from .orderstats import (
     mixture_ccdf,
     pooled_conditional_mean_given_win,
 )
-from .racedata import BucketSpec, FieldSizeBucket, RankedRace
+from .racedata import BucketSpec, FieldSizeBucket, RaceTable
 from .stats import EccdfCurve, empirical_survival
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "RankRow",
     "BucketReport",
     "AnalysisReport",
-    "empirical_table",
-    "conditional_table",
-    "winner_odds_average",
     "eccdf_per_rank",
     "build_report",
     "report_to_csv_text",
@@ -125,103 +122,75 @@ def _freq_cell(hits: int, total: int) -> Cell:
     return Cell(p, math.sqrt(p * (1.0 - p) / total), total)
 
 
-def _bucket_selection(races: Sequence[RankedRace], bucket: FieldSizeBucket) -> list[RankedRace]:
-    selected = [r for r in races if bucket.contains(r.field_size)]
-    if not selected:
-        raise ValueError(
-            f"empty selection: no races in bucket {bucket.name!r} ({bucket.label()})"
-        )
-    return selected
-
-
-def _rank_selection(races: Sequence[RankedRace], selector) -> list[RankedRace]:
-    if selector == "longshot":
-        return list(races)
-    k = int(selector)
-    return [r for r in races if r.field_size >= k]
-
-
-def _rank_of(race: RankedRace, selector) -> int:
-    return race.field_size if selector == "longshot" else int(selector)
-
-
-def _theory_histogram(
-    usable: Sequence[RankedRace], theory_field_size: int | None
-) -> FieldSizeHistogram:
+def _theory_histogram(sizes: np.ndarray, theory_field_size: int | None) -> FieldSizeHistogram:
     # A fixed override replaces the races' own field-size mix (for
     # controlled tests against a single known n).
     if theory_field_size is not None:
         return FieldSizeHistogram({theory_field_size: 1})
-    return FieldSizeHistogram.from_sizes(r.field_size for r in usable)
+    return FieldSizeHistogram.from_sizes(sizes)
 
 
-def empirical_table(
-    races: Sequence[RankedRace],
-    bucket: FieldSizeBucket,
-    theory_field_size: int | None = None,
-) -> list[tuple[int | str, Cell, Cell, Cell]]:
-    """Rows (selector, E[Q_(k)], E[P_(k)], theory E[z_(k)]) for one bucket.
+def _rank_rows(table: RaceTable, selector, among) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selector's rank in the races of mask ``among`` that have it.
+
+    Returns the mask of those races, the rank's row in each, and whether
+    that row won.
+    """
+    sizes = table.field_size
+    rank = sizes if selector == "longshot" else int(selector)
+    usable = among & (sizes >= rank)
+    rows = (table.offsets[:-1] + rank - 1)[usable]
+    return usable, rows, (table.winner_rank == rank)[usable]
+
+
+def _bucket_report(
+    table: RaceTable, bucket: FieldSizeBucket, theory_field_size: int | None
+) -> BucketReport:
+    """Every rank row and the winner cells of one nonempty bucket.
 
     A fixed rank k only uses races with field size >= k; if the bucket holds
     none, the row's cells are marked absent rather than zero.
     """
-    selected = _bucket_selection(races, bucket)
+    sizes = table.field_size
+    in_bucket = bucket.contains(sizes)
     rows = []
     for selector in RANK_SELECTORS:
-        usable = _rank_selection(selected, selector)
-        if not usable:
-            note = f"no races with field size >= {selector}"
-            absent = Cell(None, None, 0, note)
-            rows.append((selector, absent, absent, absent))
+        usable, picked, won = _rank_rows(table, selector, in_bucket)
+        count = int(usable.sum())
+        if not count:
+            absent = Cell(None, None, 0, f"no races with field size >= {selector}")
+            rows.append(RankRow(selector, absent, absent, absent, absent, absent))
             continue
-        q_values = [r.implied_odds(_rank_of(r, selector)) for r in usable]
-        wins = sum(1 for r in usable if r.winner_rank == _rank_of(r, selector))
-        hist = _theory_histogram(usable, theory_field_size)
-        theory = Cell(mixture(hist, "mean", k=selector), None, len(usable))
-        rows.append((selector, _mean_cell(q_values, ""), _freq_cell(wins, len(usable)), theory))
-    return rows
-
-
-def conditional_table(
-    races: Sequence[RankedRace],
-    bucket: FieldSizeBucket,
-    theory_field_size: int | None = None,
-) -> list[tuple[int | str, Cell, Cell]]:
-    """Rows (selector, E[Q_(k)|win], theory size-biased mean) for one bucket."""
-    selected = _bucket_selection(races, bucket)
-    rows = []
-    for selector in RANK_SELECTORS:
-        usable = _rank_selection(selected, selector)
-        if not usable:
-            note = f"no races with field size >= {selector}"
-            rows.append((selector, Cell(None, None, 0, note), Cell(None, None, 0, note)))
-            continue
-        winners = [r for r in usable if r.winner_rank == _rank_of(r, selector)]
-        q_win = _mean_cell(
-            [r.implied_odds(_rank_of(r, selector)) for r in winners],
-            "no wins at this rank",
+        q = table.implied_odds[picked]
+        hist = _theory_histogram(sizes[usable], theory_field_size)
+        rows.append(
+            RankRow(
+                selector,
+                mean_implied_odds=_mean_cell(q, ""),
+                win_frequency=_freq_cell(int(won.sum()), count),
+                segment_mean=Cell(mixture(hist, "mean", k=selector), None, count),
+                implied_odds_given_win=_mean_cell(q[won], "no wins at this rank"),
+                segment_mean_given_win=Cell(
+                    pooled_conditional_mean_given_win(hist, selector), None, count
+                ),
+            )
         )
-        hist = _theory_histogram(usable, theory_field_size)
-        theory = Cell(pooled_conditional_mean_given_win(hist, selector), None, len(usable))
-        rows.append((selector, q_win, theory))
-    return rows
-
-
-def winner_odds_average(
-    races: Sequence[RankedRace],
-    bucket: FieldSizeBucket,
-    theory_field_size: int | None = None,
-) -> tuple[Cell, Cell]:
-    """Mean implied odds of the winning horse vs the mixture of 2/(n+1)."""
-    selected = _bucket_selection(races, bucket)
-    empirical = _mean_cell([r.winner_odds for r in selected], "")
-    hist = _theory_histogram(selected, theory_field_size)
-    theory = Cell(mixture(hist, "winner_segment_mean"), None, len(selected))
-    return empirical, theory
+    races = int(in_bucket.sum())
+    winner_rows = (table.offsets[:-1] + table.winner_rank - 1)[in_bucket]
+    hist = _theory_histogram(sizes[in_bucket], theory_field_size)
+    return BucketReport(
+        bucket=bucket,
+        races=races,
+        histogram=FieldSizeHistogram.from_sizes(sizes[in_bucket]),
+        rows=tuple(rows),
+        winner_odds=_mean_cell(table.implied_odds[winner_rows], ""),
+        winner_segment=Cell(mixture(hist, "winner_segment_mean"), None, races),
+        tie_count=int(table.tie_count[in_bucket].sum()),
+    )
 
 
 def eccdf_per_rank(
-    races: Sequence[RankedRace],
+    table: RaceTable,
     selector,
     grid: Sequence[float] | None = None,
     theory_field_size: int | None = None,
@@ -232,19 +201,19 @@ def eccdf_per_rank(
     by that n's share of the selected races.  The default grid is the sorted
     set of observed values.
     """
-    usable = _rank_selection(races, selector)
-    if not usable:
+    usable, picked, _ = _rank_rows(table, selector, True)
+    if not usable.any():
         raise ValueError(f"empty selection: no races usable for rank {selector!r}")
-    values = np.array([r.implied_odds(_rank_of(r, selector)) for r in usable])
+    values = table.implied_odds[picked]
     xs = np.unique(values) if grid is None else np.sort(np.asarray(grid, dtype=float))
     empirical = EccdfCurve(xs, empirical_survival(values, xs))
-    hist = _theory_histogram(usable, theory_field_size)
+    hist = _theory_histogram(table.field_size[usable], theory_field_size)
     theory = EccdfCurve(xs, mixture_ccdf(hist, selector, xs))
     return empirical, theory
 
 
 def build_report(
-    races: Sequence[RankedRace],
+    table: RaceTable,
     spec: BucketSpec | None = None,
     min_field_size: int = 5,
     renormalized: bool = False,
@@ -252,41 +221,23 @@ def build_report(
 ) -> AnalysisReport:
     """Assemble the full per-bucket report from ranked races.
 
-    Races below ``min_field_size`` are dropped before bucketing.
+    Races below ``min_field_size`` are dropped before bucketing; a bucket
+    with no races is left out of the report.
     """
     if spec is None:
         spec = BucketSpec.default(min_field_size)
-    kept = [r for r in races if r.field_size >= min_field_size]
-    if not kept:
+    kept = table.select(table.field_size >= min_field_size)
+    if not len(kept):
         raise ValueError(f"no races with field size >= {min_field_size}")
-
-    buckets = []
-    for bucket in spec.buckets:
-        try:
-            selected = _bucket_selection(kept, bucket)
-        except ValueError:
-            continue  # bucket with no races is omitted from the report
-        main = empirical_table(kept, bucket, theory_field_size)
-        conditional = conditional_table(kept, bucket, theory_field_size)
-        rows = tuple(
-            RankRow(sel, q, p, z, q_win, z_win)
-            for (sel, q, p, z), (_, q_win, z_win) in zip(main, conditional)
-        )
-        winner_emp, winner_theory = winner_odds_average(kept, bucket, theory_field_size)
-        buckets.append(
-            BucketReport(
-                bucket=bucket,
-                races=len(selected),
-                histogram=FieldSizeHistogram.from_sizes(r.field_size for r in selected),
-                rows=rows,
-                winner_odds=winner_emp,
-                winner_segment=winner_theory,
-                tie_count=sum(r.tie_count for r in selected),
-            )
-        )
+    buckets = tuple(
+        _bucket_report(kept, bucket, theory_field_size)
+        for bucket in spec.buckets
+        if bucket.contains(kept.field_size).any()
+    )
     if not buckets:
-        raise ValueError("no bucket matched any race")
-    return AnalysisReport(tuple(buckets), min_field_size, renormalized)
+        names = ", ".join(f"{b.name!r} ({b.label()})" for b in spec.buckets)
+        raise ValueError(f"empty selection: no races in any bucket: {names}")
+    return AnalysisReport(buckets, min_field_size, renormalized)
 
 
 # --- serialization ---------------------------------------------------------

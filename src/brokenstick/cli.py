@@ -323,8 +323,9 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
 
     races = racedata.rank_races(records, renormalize=args.renormalize)
+    kept = races.select(races.field_size >= args.min_field_size)
     report = analysis.build_report(
-        races,
+        kept,
         min_field_size=args.min_field_size,
         renormalized=args.renormalize,
         theory_field_size=args.n_fixed,
@@ -336,7 +337,6 @@ def cmd_analyze(args) -> int:
         analysis.report_to_json_text(report, args.digits), encoding="utf-8"
     )
 
-    kept = [r for r in races if r.field_size >= args.min_field_size]
     for selector in args.eccdf_ranks:
         label = analysis.selector_label(selector)
         empirical, theory = analysis.eccdf_per_rank(

@@ -26,8 +26,7 @@ __all__ = [
     "McEstimate",
     "WinnerStats",
     "chunk_rng",
-    "sample_division_uniform",
-    "sample_division_exponential",
+    "sample_divisions",
     "sample_race",
     "estimate_ccdf",
     "estimate_ccdf_all_ranks",
@@ -127,16 +126,6 @@ def sample_divisions(
     if construction not in _BULK_SAMPLERS:
         raise ValueError(f"unknown construction {construction!r}")
     return _BULK_SAMPLERS[construction](n, size, rng)
-
-
-def sample_division_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One division from n-1 uniform cuts, segments sorted descending."""
-    return _divisions_uniform(n, 1, rng)[0]
-
-
-def sample_division_exponential(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One division from normalized unit exponentials, sorted descending."""
-    return _divisions_exponential(n, 1, rng)[0]
 
 
 def _races(

@@ -308,10 +308,10 @@ class FieldSizeHistogram:
 
     @classmethod
     def from_sizes(cls, sizes) -> "FieldSizeHistogram":
-        counts: dict[int, int] = {}
-        for n in sizes:
-            counts[int(n)] = counts.get(int(n), 0) + 1
-        return cls(counts)
+        if not isinstance(sizes, np.ndarray):
+            sizes = np.fromiter(sizes, dtype=np.int64)
+        support, counts = np.unique(sizes, return_counts=True)
+        return cls(dict(zip(support.tolist(), counts.tolist())))
 
     def total(self) -> int:
         return sum(self.counts.values())

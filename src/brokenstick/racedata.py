@@ -19,25 +19,22 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
-from .orderstats import FieldSizeHistogram
+import numpy as np
 
 __all__ = [
     "CSV_COLUMNS",
     "DEFAULT_OVERROUND_DELTA",
     "RaceEntry",
     "RaceRecord",
-    "RankedEntry",
-    "RankedRace",
+    "RaceTable",
     "Rejection",
     "FieldSizeBucket",
     "BucketSpec",
     "parse_races",
     "race_invariant_violation",
-    "rank_race",
     "rank_races",
-    "field_size_histogram",
     "write_races_csv",
     "races_to_csv_text",
 ]
@@ -67,47 +64,6 @@ class RaceRecord:
 
     def implied_odds_sum(self) -> float:
         return sum(1.0 / e.decimal_odds for e in self.entries)
-
-
-@dataclass(frozen=True)
-class RankedEntry:
-    rank: int
-    horse_id: str
-    implied_odds: float
-    won: bool
-
-
-@dataclass(frozen=True)
-class RankedRace:
-    """A race with entries sorted by implied odds, favourite first."""
-
-    race_id: str
-    ranked: tuple[RankedEntry, ...]
-    tie_count: int = 0
-
-    @property
-    def field_size(self) -> int:
-        return len(self.ranked)
-
-    @property
-    def winner_rank(self) -> int:
-        for entry in self.ranked:
-            if entry.won:
-                return entry.rank
-        raise ValueError(f"race {self.race_id} has no winner")
-
-    def implied_odds(self, k: int) -> float:
-        if not 1 <= k <= self.field_size:
-            raise ValueError(f"rank k={k} out of range for race {self.race_id}")
-        return self.ranked[k - 1].implied_odds
-
-    @property
-    def longshot_odds(self) -> float:
-        return self.ranked[-1].implied_odds
-
-    @property
-    def winner_odds(self) -> float:
-        return self.ranked[self.winner_rank - 1].implied_odds
 
 
 @dataclass(frozen=True)
@@ -160,8 +116,10 @@ def parse_races(
 
     Returns (accepted records, rejection log).  A malformed row poisons its
     race (one log entry with the line number); a race violating an invariant
-    is excluded with the rejecting reason.  Every race group in the input is
-    accounted for: accepted + rejected == distinct race ids seen.
+    is excluded with the rejecting reason.  Every input row is accounted for:
+    each distinct non-empty race id is either accepted or carried by exactly
+    one rejection, and each row without a race id is one rejection of its
+    own (race id None, with the row's line number).
     """
     stream = _open_source(source)
     try:
@@ -241,28 +199,84 @@ def write_races_csv(records: Iterable[RaceRecord], path) -> None:
     Path(path).write_text(races_to_csv_text(records), encoding="utf-8")
 
 
-def rank_race(record: RaceRecord, renormalize: bool = False) -> RankedRace:
-    """Sort entries by implied odds descending; rank 1 is the favourite.
+@dataclass(frozen=True, eq=False)
+class RaceTable:
+    """Ranked races as columns, one row per horse, favourite first.
+
+    The rows of race i are ``offsets[i]:offsets[i + 1]``, sorted by implied
+    odds descending with equal odds in ascending horse-id order.  Per race,
+    ``winner_rank`` is the winner's 1-based rank and ``tie_count`` the
+    number of adjacent equal-odds pairs.
+    """
+
+    race_ids: np.ndarray
+    offsets: np.ndarray
+    horse_ids: np.ndarray
+    implied_odds: np.ndarray
+    winner_rank: np.ndarray
+    tie_count: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.race_ids)
+
+    @property
+    def field_size(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def select(self, races: np.ndarray) -> "RaceTable":
+        """The races a boolean mask keeps, in table order."""
+        rows = np.repeat(races, self.field_size)
+        return RaceTable(
+            self.race_ids[races],
+            np.concatenate(([0], np.cumsum(self.field_size[races]))),
+            self.horse_ids[rows],
+            self.implied_odds[rows],
+            self.winner_rank[races],
+            self.tie_count[races],
+        )
+
+
+def rank_races(records: Iterable[RaceRecord], renormalize: bool = False) -> RaceTable:
+    """Rank every race's horses by implied odds; rank 1 is the favourite.
 
     Equal-odds ties are broken by ascending horse id (deterministic) and
     counted in ``tie_count``.  With ``renormalize`` the implied odds are
-    divided by their sum, removing the overround.
+    divided by their race's sum (added left to right in entry order),
+    removing the overround.  Every race needs exactly one winner.
     """
-    implied = [(1.0 / e.decimal_odds, e) for e in record.entries]
+    records = list(records)
+    sizes = np.fromiter((len(r.entries) for r in records), np.int64, len(records))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    race = np.repeat(np.arange(len(records)), sizes)
+    entries = [e for r in records for e in r.entries]
+    q = 1.0 / np.fromiter((e.decimal_odds for e in entries), float, len(entries))
+    won = np.fromiter((e.won for e in entries), bool, len(entries))
+    horse_ids = np.array([e.horse_id for e in entries], dtype=object)
     if renormalize:
-        total = sum(q for q, _ in implied)
-        implied = [(q / total, e) for q, e in implied]
-    implied.sort(key=lambda pair: (-pair[0], pair[1].horse_id))
-    ties = sum(1 for (qa, _), (qb, _) in zip(implied, implied[1:]) if qa == qb)
-    ranked = tuple(
-        RankedEntry(rank, e.horse_id, q, e.won)
-        for rank, (q, e) in enumerate(implied, start=1)
+        total = np.zeros(len(records))
+        for j in range(sizes.max(initial=0)):  # one entry column at a time
+            has = sizes > j
+            total[has] += q[offsets[:-1][has] + j]
+        q = q / total[race]
+    # horse ids compare as Python strings
+    id_rank = {h: i for i, h in enumerate(sorted(set(horse_ids)))}
+    id_order = np.fromiter((id_rank[h] for h in horse_ids), np.int64, len(entries))
+    order = np.lexsort((id_order, -q, race))
+    q, won, horse_ids = q[order], won[order], horse_ids[order]
+
+    winners = np.bincount(race[won], minlength=len(records))
+    if np.any(winners != 1):
+        bad = int(np.argmax(winners != 1))
+        raise ValueError(f"race {records[bad].race_id} has {winners[bad]} winners, needs one")
+    ties = (q[1:] == q[:-1]) & (race[1:] == race[:-1])
+    return RaceTable(
+        race_ids=np.array([r.race_id for r in records], dtype=object),
+        offsets=offsets,
+        horse_ids=horse_ids,
+        implied_odds=q,
+        winner_rank=np.flatnonzero(won) - offsets[:-1] + 1,
+        tie_count=np.bincount(race[1:][ties], minlength=len(records)),
     )
-    return RankedRace(record.race_id, ranked, tie_count=ties)
-
-
-def rank_races(records: Iterable[RaceRecord], renormalize: bool = False) -> list[RankedRace]:
-    return [rank_race(r, renormalize) for r in records]
 
 
 @dataclass(frozen=True)
@@ -279,8 +293,9 @@ class FieldSizeBucket:
         if self.hi is not None and self.hi < self.lo:
             raise ValueError(f"bucket {self.name!r}: hi={self.hi} below lo={self.lo}")
 
-    def contains(self, n: int) -> bool:
-        return n >= self.lo and (self.hi is None or n <= self.hi)
+    def contains(self, n):
+        """Whether field size n falls in the bucket; elementwise on arrays."""
+        return (n >= self.lo) & (self.hi is None or n <= self.hi)
 
     def label(self) -> str:
         if self.hi is None:
@@ -311,13 +326,3 @@ class BucketSpec:
                 FieldSizeBucket("large", 11, None),
             )
         )
-
-
-def field_size_histogram(
-    races: Sequence[RankedRace], bucket: FieldSizeBucket
-) -> FieldSizeHistogram:
-    """Field-size counts of the races falling inside the bucket."""
-    sizes = [r.field_size for r in races if bucket.contains(r.field_size)]
-    if not sizes:
-        raise ValueError(f"empty selection: no races in bucket {bucket.name!r} ({bucket.label()})")
-    return FieldSizeHistogram.from_sizes(sizes)

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .montecarlo import CONSTRUCTIONS, sample_divisions
+from .montecarlo import CONSTRUCTIONS, sample_race
 from .orderstats import FieldSizeHistogram
 from .racedata import RaceEntry, RaceRecord
 
@@ -84,10 +84,7 @@ def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecor
     records: list[RaceRecord] = []
     for index, n in enumerate(field_sizes):
         n = int(n)
-        probs = sample_divisions(n, 1, rng, config.construction)[0]
-        cumulative = np.cumsum(probs)
-        cumulative[-1] = 1.0  # guard the float tail so the draw always lands
-        winner = int((rng.random() < cumulative).argmax())
+        probs, winner_rank = sample_race(n, rng, config.construction)
         quoted = probs
         if config.odds_noise > 0.0:
             quoted = probs * rng.lognormal(0.0, config.odds_noise, n)
@@ -97,7 +94,7 @@ def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecor
             RaceEntry(
                 horse_id=f"h{j + 1:02d}",
                 decimal_odds=float(1.0 / quoted[j]),
-                won=(j == winner),
+                won=(j == winner_rank - 1),
             )
             for j in order
         )

@@ -190,14 +190,12 @@ def test_criterion_5_end_to_end_pipeline(pipeline_report):
 def test_criterion_6_eccdf_sup_distance(pipeline_report):
     """Pooled survival curves stay below the one-sample KS 1% critical value."""
     races, _ = pipeline_report
-    hist = FieldSizeHistogram.from_sizes(r.field_size for r in races)
+    hist = FieldSizeHistogram.from_sizes(races.field_size)
     worst_ratio = 0.0
     worst_at = ""
     for selector in (1, 2, 3, 4, "longshot"):
-        values = np.array(
-            [r.implied_odds(r.field_size if selector == "longshot" else selector)
-             for r in races]
-        )
+        rank = races.field_size if selector == "longshot" else selector
+        values = races.implied_odds[races.offsets[:-1] + rank - 1]  # every n >= 5
         distance = ks_distance_to_survival(
             values, lambda xs: mixture_ccdf(hist, selector, xs)
         )

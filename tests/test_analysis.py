@@ -6,14 +6,11 @@ import pytest
 from brokenstick.analysis import (
     build_report,
     cells_from_json,
-    conditional_table,
     curve_to_csv_text,
     eccdf_per_rank,
-    empirical_table,
     report_cells,
     report_to_csv_text,
     report_to_json_text,
-    winner_odds_average,
 )
 from brokenstick.montecarlo import SimConfig, estimate_ccdf
 from brokenstick.orderstats import (
@@ -23,7 +20,7 @@ from brokenstick.orderstats import (
     pooled_conditional_mean_given_win,
     quantile_grid,
 )
-from brokenstick.racedata import FieldSizeBucket, RaceEntry, RaceRecord, rank_races
+from brokenstick.racedata import BucketSpec, FieldSizeBucket, RaceEntry, RaceRecord, rank_races
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 
 ALL = FieldSizeBucket("all", 5)
@@ -43,11 +40,17 @@ def _synthetic_races(count, sizes, seed, noise=0.0):
     return rank_races(generate_synthetic_dataset(config))
 
 
+def _bucket(races, bucket=ALL, theory_field_size=None):
+    """The report of a single bucket holding every race of size >= bucket.lo."""
+    spec = BucketSpec((bucket,))
+    report = build_report(races, spec, bucket.lo, theory_field_size=theory_field_size)
+    return report.buckets[0]
+
+
 def test_single_race_win_frequencies():
     # rank-3 horse won: P(3) = 1, every other rank 0
     races = rank_races([_race("r1", [2.5, 3.5, 5.0, 9.0, 19.0], 2)])
-    rows = empirical_table(races, ALL)
-    by_label = {sel: p for sel, _, p, _ in rows}
+    by_label = {row.selector: row.win_frequency for row in _bucket(races).rows}
     assert by_label[3].value == 1.0
     assert by_label[1].value == 0.0
     assert by_label[2].value == 0.0
@@ -57,30 +60,31 @@ def test_single_race_win_frequencies():
 
 def test_win_frequencies_sum_to_one_over_fixed_ranks():
     races = _synthetic_races(300, [5, 8, 11] * 100, seed=41)
-    rows = empirical_table(races, ALL)
+    rows = _bucket(races).rows
     # rank cells share the denominator only when every race has n >= k;
     # reconstruct the full frequency vector directly
     total = len(races)
+    sizes, winner_rank = races.field_size, races.winner_rank
     freq = {}
     for k in range(1, 12):
-        wins = sum(1 for r in races if r.field_size >= k and r.winner_rank == k)
+        wins = int(np.sum((sizes >= k) & (winner_rank == k)))
         freq[k] = wins / total
     assert abs(sum(freq.values()) - 1.0) < 1e-12
     # and the reported fixed-rank cells agree with the reconstruction
-    for sel, _, p_cell, _ in rows:
-        if sel == "longshot":
+    for row in rows:
+        if row.selector == "longshot":
             continue
-        usable = [r for r in races if r.field_size >= sel]
-        wins = sum(1 for r in usable if r.winner_rank == sel)
-        assert p_cell.value == pytest.approx(wins / len(usable))
+        usable = sizes >= row.selector
+        wins = int(np.sum(winner_rank[usable] == row.selector))
+        assert row.win_frequency.value == pytest.approx(wins / usable.sum())
 
 
 def test_theory_column_is_bucket_mixture():
     races = _synthetic_races(60, [5, 9] * 30, seed=17)
-    rows = empirical_table(races, ALL)
-    hist = FieldSizeHistogram.from_sizes(r.field_size for r in races)
+    hist = FieldSizeHistogram.from_sizes(races.field_size)
     w5 = hist.weights()[5]
-    for sel, _, _, z_cell in rows:
+    for row in _bucket(races).rows:
+        sel, z_cell = row.selector, row.segment_mean
         if sel == "longshot":
             expected = w5 * mean_kth_largest(5, 5) + (1 - w5) * mean_kth_largest(9, 9)
         else:
@@ -93,8 +97,7 @@ def test_conditional_cells_marked_absent_without_wins():
     races = rank_races(
         [_race(f"r{i}", [2.5, 3.5, 5.0, 9.0, 19.0], 0) for i in range(4)]
     )
-    rows = conditional_table(races, ALL)
-    by_label = {sel: cell for sel, cell, _ in rows}
+    by_label = {row.selector: row.implied_odds_given_win for row in _bucket(races).rows}
     assert by_label["longshot"].absent
     assert by_label["longshot"].note == "no wins at this rank"
     assert not by_label[1].absent
@@ -102,7 +105,8 @@ def test_conditional_cells_marked_absent_without_wins():
 
 def test_winner_odds_average_single_race():
     races = rank_races([_race("r1", [2.0, 4.0, 8.0, 16.0, 19.0], 0)])
-    empirical, theory = winner_odds_average(races, ALL)
+    report = _bucket(races)
+    empirical, theory = report.winner_odds, report.winner_segment
     assert empirical.value == pytest.approx(0.5)
     assert theory.value == pytest.approx(2.0 / 6.0)
 
@@ -110,7 +114,7 @@ def test_winner_odds_average_single_race():
 def test_empty_bucket_raises_with_name():
     races = _synthetic_races(10, [5] * 10, seed=1)
     with pytest.raises(ValueError, match="large"):
-        empirical_table(races, FieldSizeBucket("large", 11))
+        build_report(races, BucketSpec((FieldSizeBucket("large", 11),)))
 
 
 def test_report_completeness():
@@ -160,10 +164,9 @@ def test_min_field_size_drops_races():
 
 def test_theory_field_size_override():
     races = _synthetic_races(50, [5, 9] * 25, seed=3)
-    rows = empirical_table(races, ALL, theory_field_size=9)
-    for sel, _, _, z_cell in rows:
-        rank = 9 if sel == "longshot" else sel
-        assert z_cell.value == pytest.approx(mean_kth_largest(9, rank), abs=1e-12)
+    for row in _bucket(races, theory_field_size=9).rows:
+        rank = 9 if row.selector == "longshot" else row.selector
+        assert row.segment_mean.value == pytest.approx(mean_kth_largest(9, rank), abs=1e-12)
 
 
 def test_eccdf_trivia():
@@ -172,7 +175,7 @@ def test_eccdf_trivia():
     # all implied odds are positive, so survival at 0 is 1
     from brokenstick.stats import empirical_survival
 
-    values = [r.implied_odds(1) for r in races]
+    values = races.implied_odds[races.offsets[:-1]]
     assert empirical_survival(values, [0.0])[0] == 1.0
     # the largest segment cannot exceed 1, so theory vanishes at x = 1
     grid = np.array([0.2, 1.0])
@@ -196,8 +199,8 @@ def test_eccdf_pooling_matches_single_field_size_estimator():
 def test_noise_free_market_is_efficient():
     # E[Q_(k)] and E[P_(k)] agree within 5 SE on a clean synthetic market
     races = _synthetic_races(4000, [9] * 4000, seed=31)
-    rows = empirical_table(races, ALL)
-    for sel, q_cell, p_cell, z_cell in rows:
+    for row in _bucket(races).rows:
+        q_cell, p_cell, z_cell = row.mean_implied_odds, row.win_frequency, row.segment_mean
         se = np.hypot(q_cell.se, p_cell.se)
         assert abs(q_cell.value - p_cell.value) <= 5 * se
         assert abs(q_cell.value - z_cell.value) <= 5 * q_cell.se
@@ -205,11 +208,10 @@ def test_noise_free_market_is_efficient():
 
 def test_conditional_theory_uses_pooled_ratio():
     races = _synthetic_races(100, [5, 12] * 50, seed=13)
-    rows = conditional_table(races, ALL)
-    hist = FieldSizeHistogram.from_sizes(r.field_size for r in races)
-    for sel, _, theory in rows:
-        assert theory.value == pytest.approx(
-            pooled_conditional_mean_given_win(hist, sel), abs=1e-12
+    hist = FieldSizeHistogram.from_sizes(races.field_size)
+    for row in _bucket(races).rows:
+        assert row.segment_mean_given_win.value == pytest.approx(
+            pooled_conditional_mean_given_win(hist, row.selector), abs=1e-12
         )
 
 
@@ -218,15 +220,15 @@ def test_pipeline_recovers_fixed_field_law():
     # the win frequency of the favourite both estimate H(9,1)/9, and the
     # winner's mean odds estimate 2/10 (theory column exact)
     races = _synthetic_races(12_000, [9] * 12_000, seed=424)
-    bucket = FieldSizeBucket("all", 5)
-    rows = empirical_table(races, bucket)
+    report = _bucket(races)
     expected = mean_kth_largest(9, 1)
-    _, q_cell, p_cell, z_cell = rows[0]
+    row = report.rows[0]
+    q_cell, p_cell, z_cell = row.mean_implied_odds, row.win_frequency, row.segment_mean
     assert z_cell.value == pytest.approx(expected, abs=1e-12)
     assert abs(q_cell.value - expected) <= 3 * q_cell.se
     assert abs(p_cell.value - expected) <= 3 * p_cell.se
 
-    empirical, theory = winner_odds_average(races, bucket)
+    empirical, theory = report.winner_odds, report.winner_segment
     assert theory.value == pytest.approx(0.2, abs=1e-12)
     assert abs(empirical.value - 0.2) <= 3 * empirical.se
 
@@ -234,7 +236,7 @@ def test_pipeline_recovers_fixed_field_law():
     from brokenstick.orderstats import SegmentLaw
 
     law = SegmentLaw(9)
-    wins = np.bincount([r.winner_rank - 1 for r in races], minlength=9)
+    wins = np.bincount(races.winner_rank - 1, minlength=9)
     freq = wins / len(races)
     se = np.sqrt(freq * (1 - freq) / len(races))
     assert np.all(np.abs(freq - law.means()) <= 5 * se)
@@ -243,10 +245,9 @@ def test_pipeline_recovers_fixed_field_law():
 def test_conditional_mean_two_horse_races():
     # winner-conditioned favourite odds converge to 7/9 at n = 2
     races = _synthetic_races(100_000, [2] * 100_000, seed=77)
-    bucket = FieldSizeBucket("pairs", 2)
-    rows = conditional_table(races, bucket)
-    sel, q_win, theory = rows[0]
-    assert sel == 1
+    row = _bucket(races, FieldSizeBucket("pairs", 2)).rows[0]
+    q_win, theory = row.implied_odds_given_win, row.segment_mean_given_win
+    assert row.selector == 1
     assert theory.value == pytest.approx(7 / 9, abs=1e-12)
     assert abs(q_win.value - 7 / 9) <= 3 * q_win.se
 
@@ -257,10 +258,10 @@ def test_noise_inflates_longshot_misranking():
     # prediction by far more (relatively) than any other rank's discrepancy
     races = _synthetic_races(6000, FieldSizeHistogram({n: 1 for n in range(5, 13)}),
                              seed=3, noise=0.3)
-    rows = empirical_table(races, ALL)
     rel_gap = {}
-    for sel, q_cell, p_cell, z_cell in rows:
-        rel_gap[sel] = (p_cell.value - z_cell.value) / z_cell.value
+    for row in _bucket(races).rows:
+        p_cell, z_cell = row.win_frequency, row.segment_mean
+        rel_gap[row.selector] = (p_cell.value - z_cell.value) / z_cell.value
     assert rel_gap["longshot"] > 0.10
     assert rel_gap["longshot"] > max(abs(g) for s, g in rel_gap.items() if s != "longshot")
 

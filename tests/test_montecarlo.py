@@ -10,8 +10,6 @@ from brokenstick.montecarlo import (
     estimate_mean,
     estimate_second_moment,
     estimate_winner_stats,
-    sample_division_exponential,
-    sample_division_uniform,
     sample_divisions,
     sample_kth_segment,
     sample_race,
@@ -43,7 +41,7 @@ class TestSimConfig:
 def test_rng_golden_values():
     # pins the generator algorithm: Philox keyed by SeedSequence(seed,
     # spawn_key=(chunk,)); a change here breaks stored reproducibility
-    division = sample_division_uniform(5, chunk_rng(42, 0))
+    division = sample_divisions(5, 1, chunk_rng(42, 0), "uniform-cuts")[0]
     expected = [
         0.5438065243315842,
         0.226463785976469,
@@ -53,7 +51,7 @@ def test_rng_golden_values():
     ]
     assert division == pytest.approx(expected, abs=1e-15)
 
-    division = sample_division_exponential(5, chunk_rng(42, 0))
+    division = sample_divisions(5, 1, chunk_rng(42, 0), "exponential-ratio")[0]
     expected = [
         0.38077288649786384,
         0.29389528699932393,
@@ -64,7 +62,7 @@ def test_rng_golden_values():
     assert division == pytest.approx(expected, abs=1e-15)
 
     # distinct chunks draw from independent streams
-    division = sample_division_uniform(3, chunk_rng(42, 1))
+    division = sample_divisions(3, 1, chunk_rng(42, 1), "uniform-cuts")[0]
     expected = [0.42403653009372955, 0.34911809783582737, 0.22684537207044309]
     assert division == pytest.approx(expected, abs=1e-15)
 
@@ -109,8 +107,6 @@ def test_division_invariants(construction):
 def test_single_segment_division(construction):
     rng = chunk_rng(1, 0)
     assert list(sample_divisions(1, 3, rng, construction)[0]) == [1.0]
-    assert list(sample_division_uniform(1, rng)) == [1.0]
-    assert list(sample_division_exponential(1, rng)) == [1.0]
 
 
 def test_estimators_reproducible_and_thread_invariant():
