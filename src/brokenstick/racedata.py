@@ -258,7 +258,7 @@ def rank_races(records: Iterable[RaceRecord], renormalize: bool = False) -> Race
             has = sizes > j
             total[has] += q[offsets[:-1][has] + j]
         q = q / total[race]
-    # horse ids compare as Python strings
+    # order horse ids as Python compares them (a numpy str array drops trailing NULs)
     id_rank = {h: i for i, h in enumerate(sorted(set(horse_ids)))}
     id_order = np.fromiter((id_rank[h] for h in horse_ids), np.int64, len(entries))
     order = np.lexsort((id_order, -q, race))
