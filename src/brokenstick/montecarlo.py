@@ -188,8 +188,10 @@ def estimate_ccdf_all_ranks(
 
     def job(index: int, count: int) -> np.ndarray:
         segments = sample_divisions(n, count, chunk_rng(config.seed, index), config.construction)
-        # hits[k, j] = number of draws with z_(k+1) > xs[j]
-        return (segments[:, :, None] > xs[None, None, :]).sum(axis=0)
+        # hits[k, j] = number of draws with z_(k+1) > xs[j], counted on each rank's
+        # sorted draws: a (count, n, len(xs)) comparison array is hundreds of MB
+        ordered = np.sort(segments.T, axis=1)
+        return count - np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
 
     hits = np.zeros((n, xs.size), dtype=np.int64)
     for partial in _map_chunks(config, job, workers):

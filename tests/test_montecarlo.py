@@ -214,6 +214,19 @@ def test_all_ranks_estimator_consistent_with_single_rank():
         assert np.array_equal(all_se[k - 1], se)
 
 
+def test_all_ranks_hits_equal_direct_strict_count():
+    config = SimConfig(samples=2_500, seed=12, chunk_size=1_000)
+    draws = np.concatenate([
+        sample_divisions(5, count, chunk_rng(config.seed, index), config.construction)
+        for index, count in config.chunks()
+    ])
+    # grid points equal to drawn values check the strict '>' at ties
+    xs = np.sort(np.concatenate([[0.0, 0.1, 0.1, 1.0], draws[:7, 1], draws[:3, 4]]))
+    p, _ = estimate_ccdf_all_ranks(5, xs, config, workers=2)
+    hits = (draws[:, :, None] > xs[None, None, :]).sum(axis=0)
+    assert np.array_equal(p, hits / config.samples)
+
+
 def test_estimates_close_for_all_ranks():
     config = SimConfig(samples=100_000, seed=31)
     for n in (5, 8):
