@@ -217,44 +217,44 @@ def cmd_simulate(args) -> int:
         args.k = n
     rows: list[dict] = []
 
-    def add(statistic, k, x, estimate, se, exact):
-        gap = abs(estimate - exact)
-        gap_se = 0.0 if gap == 0.0 else (gap / se if se > 0 else float("inf"))
+    def add(statistic, k, x, estimate: montecarlo.McEstimate, exact):
         rows.append(
-            {"statistic": statistic, "n": n, "k": k, "x": x, "estimate": estimate,
-             "se": se, "exact": exact, "gap_se": gap_se}
+            {"statistic": statistic, "n": n, "k": k, "x": x, "estimate": estimate.value,
+             "se": estimate.se, "exact": exact, "gap_se": estimate.gap_in_se(exact)}
         )
 
     if args.stat in ("mean", "second-moment"):
-        if args.k is None or args.k == "longshot":
+        if args.k is None:
             raise ValueError(f"statistic {args.stat!r} needs an integer --k")
         est = (
             montecarlo.estimate_mean(n, args.k, config, args.workers)
             if args.stat == "mean"
             else montecarlo.estimate_second_moment(n, args.k, config, args.workers)
         )
-        add(args.stat, args.k, None, est.value, est.se, _CLOSED_FORMS[args.stat](n, args.k))
+        add(args.stat, args.k, None, est, _CLOSED_FORMS[args.stat](n, args.k))
     elif args.stat == "cond-mean":
-        if args.k is None or args.k == "longshot":
+        if args.k is None:
             raise ValueError("statistic 'cond-mean' needs an integer --k")
         stats = montecarlo.estimate_winner_stats(n, config, args.workers)
         value = float(stats.conditional_mean[args.k - 1])
-        se = float(stats.conditional_se[args.k - 1])
         if np.isnan(value):
             raise ValueError(f"rank {args.k} never won in {samples} races; raise --samples")
-        add("cond-mean", args.k, None, value, se, orderstats.conditional_mean_given_win(n, args.k))
+        est = montecarlo.McEstimate(
+            value, float(stats.conditional_se[args.k - 1]), int(stats.win_counts[args.k - 1])
+        )
+        add("cond-mean", args.k, None, est, orderstats.conditional_mean_given_win(n, args.k))
     elif args.stat == "winner-mean":
         stats = montecarlo.estimate_winner_stats(n, config, args.workers)
-        add("winner-mean", None, None, stats.winner_mean.value, stats.winner_mean.se,
-            orderstats.winner_segment_mean(n))
+        add("winner-mean", None, None, stats.winner_mean, orderstats.winner_segment_mean(n))
     else:  # ccdf
-        if args.k is None or args.k == "longshot":
+        if args.k is None:
             raise ValueError("statistic 'ccdf' needs an integer --k")
         xs = args.x or orderstats.quantile_grid(n, args.k, args.grid).tolist()
         xs = sorted(xs)
         estimates, ses = montecarlo.estimate_ccdf(n, args.k, xs, config, args.workers)
         for x, est, se in zip(xs, estimates, ses):
-            add("ccdf", args.k, x, float(est), float(se), orderstats.ccdf_kth_largest(n, args.k, x))
+            add("ccdf", args.k, x, montecarlo.McEstimate(float(est), float(se), samples),
+                orderstats.ccdf_kth_largest(n, args.k, x))
 
     columns = ["statistic", "n", "k", "x", "estimate", "se", "exact", "gap_se"]
     _emit_rows(rows, columns, args)

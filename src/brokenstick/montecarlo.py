@@ -7,13 +7,17 @@ for the other and for the closed forms in ``orderstats``.
 
 Reproducibility: all sampling is split into fixed-size chunks; chunk i uses
 the Philox counter-based generator keyed by ``SeedSequence(seed,
-spawn_key=(i,))``.  Per-chunk partial results are reduced in chunk order,
-so a configuration (samples, seed, construction, chunk_size) yields
-bit-identical estimates for any ``workers`` count.
+spawn_key=(i,))``.  Each chunk reduces to one (count, total, m2) triple per
+cell, m2 being the sum of squared deviations from the chunk mean, and the
+triples merge in chunk order by the pairwise update of Chan, Golub & LeVeque
+(1979).  So a configuration (samples, seed, construction, chunk_size) yields
+bit-identical estimates for any ``workers`` count.  Estimates are the mean
+total/count with the ddof=1 standard error sqrt(m2/(count-1)/count).
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -33,7 +37,6 @@ __all__ = [
     "estimate_mean",
     "estimate_second_moment",
     "estimate_winner_stats",
-    "sample_kth_segment",
 ]
 
 CONSTRUCTIONS = ("uniform-cuts", "exponential-ratio")
@@ -163,13 +166,37 @@ class McEstimate:
         return gap / self.se if self.se > 0.0 else float("inf")
 
 
-def _map_chunks(config: SimConfig, job: Callable[[int, int], object], workers: int) -> list:
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pool two (count, total, m2) triples by the sum form of Chan, Golub & LeVeque,
+    in float64; the correction is 0 where either side holds no values."""
+    (na, ta, ma), (nb, tb, mb) = a, b
+    scale = na * nb * (na + nb)
+    correction = np.divide((nb * ta - na * tb) ** 2, scale, out=np.zeros_like(scale), where=scale > 0)
+    return np.stack([na + nb, ta + tb, ma + mb + correction])
+
+
+def _finish(triple: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and ddof=1 standard error per cell: se is 0 for one value, NaN for none."""
+    count, total, m2 = triple
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return total / count, np.where(count == 1, 0.0, np.sqrt(m2 / (count - 1) / count))
+
+
+def _reduce_chunks(config: SimConfig, job: Callable[[int, int], np.ndarray], workers: int) -> np.ndarray:
+    """Merge the triples ``job`` returns for every chunk, in chunk order."""
     chunks = list(config.chunks())
     if workers <= 1 or len(chunks) == 1:
-        return [job(i, count) for i, count in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job, i, count) for i, count in chunks]
-    return [f.result() for f in futures]  # submission order == chunk order
+        triples = [job(i, count) for i, count in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(job, i, count) for i, count in chunks]
+        triples = [f.result() for f in futures]  # submission order == chunk order
+    return functools.reduce(_merge, triples)
+
+
+def _indicator_triple(hits: np.ndarray, count: int) -> np.ndarray:
+    """Triple of 0/1 indicators per cell, ``hits`` of them 1 among ``count``."""
+    return np.stack([np.full_like(hits, count), hits, hits * (count - hits) / count])
 
 
 def estimate_ccdf_all_ranks(
@@ -178,7 +205,7 @@ def estimate_ccdf_all_ranks(
     """Empirical survival of every rank at each grid point.
 
     Returns (estimates, standard_errors), both shaped (n, len(xs)); row k-1
-    holds P[z_(k) > x].  Standard errors use the binomial sample variance.
+    holds P[z_(k) > x].
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -191,14 +218,10 @@ def estimate_ccdf_all_ranks(
         # hits[k, j] = number of draws with z_(k+1) > xs[j], counted on each rank's
         # sorted draws: a (count, n, len(xs)) comparison array is hundreds of MB
         ordered = np.sort(segments.T, axis=1)
-        return count - np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
+        hits = count - np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
+        return _indicator_triple(hits, count)
 
-    hits = np.zeros((n, xs.size), dtype=np.int64)
-    for partial in _map_chunks(config, job, workers):
-        hits += partial
-    p = hits / config.samples
-    se = np.sqrt(p * (1.0 - p) / config.samples)
-    return p, se
+    return _finish(_reduce_chunks(config, job, workers))
 
 
 def estimate_ccdf(
@@ -217,27 +240,14 @@ def _moment_estimate(
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} out of range for field size n={n}")
 
-    def job(index: int, count: int) -> tuple[float, float]:
+    def job(index: int, count: int) -> np.ndarray:
         segments = sample_divisions(n, count, chunk_rng(config.seed, index), config.construction)
         values = segments[:, k - 1] ** power
-        return float(values.sum()), float((values**2).sum())
+        total = values.sum()
+        return np.array([count, total, ((values - total / count) ** 2).sum()])
 
-    s1 = 0.0
-    s2 = 0.0
-    for part1, part2 in _map_chunks(config, job, workers):
-        s1 += part1
-        s2 += part2
-    return _mean_se(s1, s2, config.samples)
-
-
-def _mean_se(s1: float, s2: float, count: int) -> McEstimate:
-    mean = s1 / count
-    if count > 1:
-        variance = max(0.0, (s2 - count * mean * mean) / (count - 1))
-        se = (variance / count) ** 0.5
-    else:
-        se = 0.0
-    return McEstimate(mean, se, count)
+    mean, se = _finish(_reduce_chunks(config, job, workers))
+    return McEstimate(float(mean), float(se), config.samples)
 
 
 def estimate_mean(n: int, k: int, config: SimConfig, workers: int = 1) -> McEstimate:
@@ -250,24 +260,12 @@ def estimate_second_moment(n: int, k: int, config: SimConfig, workers: int = 1) 
     return _moment_estimate(n, k, config, power=2, workers=workers)
 
 
-def sample_kth_segment(n: int, k: int, config: SimConfig, workers: int = 1) -> np.ndarray:
-    """Raw draws of the k-th largest segment length (for distributional tests)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of range for field size n={n}")
-
-    def job(index: int, count: int) -> np.ndarray:
-        segments = sample_divisions(n, count, chunk_rng(config.seed, index), config.construction)
-        return segments[:, k - 1].copy()
-
-    return np.concatenate(_map_chunks(config, job, workers))
-
-
 @dataclass(frozen=True)
 class WinnerStats:
     """Single-pass race statistics: who wins and how long the winner's segment is.
 
-    Arrays are indexed by rank-1.  ``conditional_mean[k-1]`` is NaN when
-    rank k never won in the sample.
+    Arrays are indexed by rank-1.  ``conditional_mean[k-1]`` and
+    ``conditional_se[k-1]`` are NaN when rank k never won in the sample.
     """
 
     n: int
@@ -283,42 +281,29 @@ class WinnerStats:
 def estimate_winner_stats(n: int, config: SimConfig, workers: int = 1) -> WinnerStats:
     """Simulate races and accumulate win frequencies and winner-segment moments."""
 
-    def job(index: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def job(index: int, count: int) -> np.ndarray:
+        # cells: the n win indicators, then the winner's length per winning rank
         segments, ranks = _races(n, count, chunk_rng(config.seed, index), config.construction)
-        winner_lengths = segments[np.arange(count), ranks - 1]
-        wins = np.bincount(ranks - 1, minlength=n)
-        sums = np.bincount(ranks - 1, weights=winner_lengths, minlength=n)
-        sumsq = np.bincount(ranks - 1, weights=winner_lengths**2, minlength=n)
-        return wins, sums, sumsq
+        rank = ranks - 1
+        lengths = segments[np.arange(count), rank]
+        wins = np.bincount(rank, minlength=n)
+        sums = np.bincount(rank, weights=lengths, minlength=n)
+        with np.errstate(invalid="ignore"):  # 0/0 for ranks without a win, never read
+            deviations = lengths - (sums / wins)[rank]
+        m2 = np.bincount(rank, weights=deviations**2, minlength=n)
+        return np.concatenate([_indicator_triple(wins, count), np.stack([wins, sums, m2])], axis=1)
 
-    wins = np.zeros(n, dtype=np.int64)
-    sums = np.zeros(n)
-    sumsq = np.zeros(n)
-    for w, s, s2 in _map_chunks(config, job, workers):
-        wins += w
-        sums += s
-        sumsq += s2
-
-    races = config.samples
-    freq = wins / races
-    freq_se = np.sqrt(freq * (1.0 - freq) / races)
-
-    cond_mean = np.full(n, np.nan)
-    cond_se = np.full(n, np.nan)
-    for i in range(n):
-        if wins[i] > 0:
-            est = _mean_se(float(sums[i]), float(sumsq[i]), int(wins[i]))
-            cond_mean[i] = est.value
-            cond_se[i] = est.se
-
-    winner_mean = _mean_se(float(sums.sum()), float(sumsq.sum()), races)
+    triple = _reduce_chunks(config, job, workers)
+    mean, se = _finish(triple)
+    # every race has one winner: pooling the per-rank cells gives the winner's length overall
+    winner = _finish(functools.reduce(_merge, triple[:, n:].T))
     return WinnerStats(
         n=n,
-        races=races,
-        win_counts=wins,
-        win_frequency=freq,
-        win_frequency_se=freq_se,
-        conditional_mean=cond_mean,
-        conditional_se=cond_se,
-        winner_mean=winner_mean,
+        races=config.samples,
+        win_counts=triple[0, n:].astype(np.int64),
+        win_frequency=mean[:n],
+        win_frequency_se=se[:n],
+        conditional_mean=mean[n:],
+        conditional_se=se[n:],
+        winner_mean=McEstimate(float(winner[0]), float(winner[1]), config.samples),
     )

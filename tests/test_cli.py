@@ -110,6 +110,13 @@ class TestSimulate:
         estimate = float(row.split(",")[header.split(",").index("estimate")])
         assert abs(estimate - 0.75) < 0.01
 
+    def test_longshot_is_rank_n(self, capsys):
+        common = ("--stat", "mean", "--seed", "3", "--samples", "20000")
+        longshot = run(capsys, "simulate", "--n", "4", "--k", "longshot", *common)
+        rank_n = run(capsys, "simulate", "--n", "4", "--k", "4", *common)
+        assert longshot[0] == EXIT_OK
+        assert longshot == rank_n
+
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BROKENSTICK_SAMPLES", "5000")
         monkeypatch.setenv("BROKENSTICK_SEED", "21")

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mc_reference
 from brokenstick.montecarlo import (
     CONSTRUCTIONS,
     SimConfig,
@@ -11,7 +14,6 @@ from brokenstick.montecarlo import (
     estimate_second_moment,
     estimate_winner_stats,
     sample_divisions,
-    sample_kth_segment,
     sample_race,
 )
 from brokenstick.orderstats import SegmentLaw, ccdf_kth_largest, quantile_grid
@@ -122,15 +124,20 @@ def test_estimators_reproducible_and_thread_invariant():
     m4 = estimate_mean(4, 2, config, workers=4)
     assert m1 == m4
 
-    w1 = estimate_winner_stats(4, config, workers=1)
-    w4 = estimate_winner_stats(4, config, workers=4)
-    assert np.array_equal(w1.win_counts, w4.win_counts)
-    assert np.array_equal(w1.conditional_mean, w4.conditional_mean)
-    assert w1.winner_mean == w4.winner_mean
-
-    s1 = sample_kth_segment(4, 1, config, workers=1)
-    s4 = sample_kth_segment(4, 1, config, workers=4)
-    assert np.array_equal(s1, s4)
+    # at n=40 the last ranks go whole chunks without a win; rank 40 never
+    # wins (NaN cells) and one rank wins once (SE 0)
+    sparse = SimConfig(samples=2_000, seed=10, chunk_size=250)
+    for n, cfg in ((4, config), (40, sparse)):
+        w1 = estimate_winner_stats(n, cfg, workers=1)
+        w4 = estimate_winner_stats(n, cfg, workers=4)
+        for field in dataclasses.fields(w1):
+            a, b = getattr(w1, field.name), getattr(w4, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b, field.name
+    assert np.isnan(w1.conditional_se[-1]) and 1 in w1.win_counts
+    assert w1.conditional_se[list(w1.win_counts).index(1)] == 0.0
 
 
 def test_estimate_ccdf_validation():
@@ -196,8 +203,8 @@ def test_winner_stats_match_theory():
 def test_construction_equivalence_ks():
     for n in (2, 5):
         for k in (1, n):
-            a = sample_kth_segment(n, k, SimConfig(samples=20_000, seed=21))
-            b = sample_kth_segment(
+            a = mc_reference.sample_kth_segment(n, k, SimConfig(samples=20_000, seed=21))
+            b = mc_reference.sample_kth_segment(
                 n, k, SimConfig(samples=20_000, seed=22, construction="exponential-ratio")
             )
             d = ks_statistic_two_sample(a, b)
@@ -235,3 +242,34 @@ def test_estimates_close_for_all_ranks():
             p, se = estimate_ccdf(n, k, xs, config)
             for x, ph, s in zip(xs, p, se):
                 assert abs(ph - ccdf_kth_largest(n, k, x)) <= 5 * s
+
+
+def _assert_rel(actual, expected, tol):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    gap = np.abs(actual[finite] - expected[finite])
+    assert np.all(gap <= tol * np.abs(expected[finite])), (gap / np.abs(expected[finite])).max()
+
+
+def test_estimates_match_two_pass_reference():
+    # the chunk merge lands on the exactly summed two-pass mean and ddof=1 SE;
+    # the naive s2 - n*mean^2 variance put the conditional SEs 1.2e-13 off here
+    config = SimConfig(samples=200_000, seed=17)
+    stats = estimate_winner_stats(9, config, workers=2)
+    ref = mc_reference.winner_stats(9, config)
+    for name in ("win_frequency", "conditional_mean"):
+        _assert_rel(getattr(stats, name), ref[name], 1e-14)
+    for name in ("win_frequency_se", "conditional_se"):
+        _assert_rel(getattr(stats, name), ref[name], 2e-14)
+    _assert_rel(stats.winner_mean.value, ref["winner_mean"][0], 1e-14)
+    _assert_rel(stats.winner_mean.se, ref["winner_mean"][1], 2e-14)
+
+    for construction in CONSTRUCTIONS:
+        config = SimConfig(samples=60_000, seed=18, construction=construction, chunk_size=25_000)
+        for fn, power in ((estimate_mean, 1), (estimate_second_moment, 2)):
+            for k in (1, 9):
+                est = fn(9, k, config, workers=2)
+                mean, se = mc_reference.moment(9, k, config, power)
+                _assert_rel(est.value, mean, 1e-14)
+                _assert_rel(est.se, se, 2e-14)
