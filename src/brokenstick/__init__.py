@@ -19,7 +19,7 @@ from .montecarlo import (
     estimate_second_moment,
     estimate_winner_stats,
     sample_divisions,
-    sample_race,
+    sample_races,
 )
 from .orderstats import (
     FieldSizeHistogram,
@@ -46,7 +46,7 @@ from .racedata import (
     rank_races,
     write_races_csv,
 )
-from .stats import EccdfCurve, eccdf, ks_critical_value, ks_statistic_two_sample
+from .stats import EccdfCurve, eccdf
 from .synth import SyntheticDatasetConfig, generate_synthetic_dataset
 
 __version__ = "0.1.0"

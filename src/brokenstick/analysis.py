@@ -371,10 +371,10 @@ def cells_from_json(payload: dict) -> dict[tuple[str, str, str], Cell]:
 
 
 def curve_to_csv_text(curve: EccdfCurve, digits: int = 10) -> str:
-    """Two-column CSV (x, survival) ready for external plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "survival"])
-    for x, s in zip(curve.x, curve.survival):
-        writer.writerow([f"{x:.{digits}g}", f"{s:.{digits}g}"])
-    return out.getvalue()
+    """Two-column CSV (x, survival) ready for external plotting.
+
+    One %-format over the interleaved points; ``%.{digits}g`` gives the same
+    text as ``format(v, f".{digits}g")`` for every float, inf and nan included.
+    """
+    points = np.column_stack([curve.x, curve.survival]).ravel().tolist()
+    return "x,survival\n" + f"%.{digits}g,%.{digits}g\n" * len(curve) % tuple(points)

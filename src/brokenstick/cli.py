@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--hist", help="field-size histogram CSV (n,count) for mixtures")
     p.add_argument("--k", type=_parse_selector, help="rank (1=favourite) or 'longshot'")
     p.add_argument("--stat", choices=_STAT_CHOICES, required=True)
-    p.add_argument("--x", type=_parse_floats, help="comma-separated ccdf evaluation points")
+    p.add_argument("--x", type=_parse_floats, action="extend",
+                   help="comma-separated ccdf evaluation points; may repeat")
     p.add_argument("--grid", type=int, default=20, help="quantile grid size for ccdf")
     _add_output_flags(p)
     p.set_defaults(func=cmd_theory)
@@ -430,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=montecarlo.CONSTRUCTIONS, default="uniform-cuts")
     p.add_argument("--chunk-size", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--x", type=_parse_floats, help="ccdf evaluation points")
+    p.add_argument("--x", type=_parse_floats, action="extend",
+                   help="comma-separated ccdf evaluation points; may repeat")
     p.add_argument("--grid", type=int, default=20)
     p.add_argument("--max-se", type=float, default=5.0, help="exit 2 if any gap exceeds this")
     _add_output_flags(p)

@@ -31,7 +31,7 @@ __all__ = [
     "WinnerStats",
     "chunk_rng",
     "sample_divisions",
-    "sample_race",
+    "sample_races",
     "estimate_ccdf",
     "estimate_ccdf_all_ranks",
     "estimate_mean",
@@ -85,12 +85,13 @@ def _resample_degenerate(
     segments: np.ndarray, sampler: Callable[[int], np.ndarray]
 ) -> np.ndarray:
     # Coincident cuts (or a zero exponential draw) would break a segment's
-    # positivity; such rows have probability ~0 and are redrawn.
-    while True:
+    # positivity; such rows have probability ~0 and are redrawn.  One min/max
+    # pass clears a clean chunk (NaN fails it too); only a dirty one gets the
+    # per-row mask.
+    while segments.size and not (segments.min() > 0.0 and segments.max() < np.inf):
         bad = ~np.all(segments > 0.0, axis=1) | ~np.all(np.isfinite(segments), axis=1)
-        if not bad.any():
-            return segments
         segments[bad] = sampler(int(bad.sum()))
+    return segments
 
 
 def _divisions_uniform(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,23 +132,17 @@ def sample_divisions(
     return _BULK_SAMPLERS[construction](n, size, rng)
 
 
-def _races(
-    n: int, size: int, rng: np.random.Generator, construction: str
+def sample_races(
+    n: int, size: int, rng: np.random.Generator, construction: str = "uniform-cuts"
 ) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` races of n horses: the (size, n) sorted-descending divisions, and
+    per race the 1-based rank of the segment holding a uniform point (the winner)."""
     segments = sample_divisions(n, size, rng, construction)
     cumulative = np.cumsum(segments, axis=1)
     cumulative[:, -1] = 1.0  # guard the float tail so every point lands
     points = rng.random(size)
     winner_ranks = (points[:, None] < cumulative).argmax(axis=1) + 1
     return segments, winner_ranks
-
-
-def sample_race(
-    n: int, rng: np.random.Generator, construction: str = "uniform-cuts"
-) -> tuple[np.ndarray, int]:
-    """One division plus the 1-based rank of the segment holding a uniform point."""
-    segments, ranks = _races(n, 1, rng, construction)
-    return segments[0], int(ranks[0])
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,7 @@ def estimate_winner_stats(n: int, config: SimConfig, workers: int = 1) -> Winner
 
     def job(index: int, count: int) -> np.ndarray:
         # cells: the n win indicators, then the winner's length per winning rank
-        segments, ranks = _races(n, count, chunk_rng(config.seed, index), config.construction)
+        segments, ranks = sample_races(n, count, chunk_rng(config.seed, index), config.construction)
         rank = ranks - 1
         lengths = segments[np.arange(count), rank]
         wins = np.bincount(rank, minlength=n)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -12,8 +11,6 @@ __all__ = [
     "EccdfCurve",
     "empirical_survival",
     "eccdf",
-    "ks_statistic_two_sample",
-    "ks_critical_value",
     "ks_distance_to_survival",
 ]
 
@@ -54,31 +51,6 @@ def eccdf(values: Sequence[float], grid: Sequence[float] | None = None) -> Eccdf
     values = np.asarray(values, dtype=float)
     xs = np.unique(values) if grid is None else np.sort(np.asarray(grid, dtype=float))
     return EccdfCurve(xs, empirical_survival(values, xs))
-
-
-def ks_statistic_two_sample(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_critical_value(n1: int, n2: int, alpha: float = 0.01) -> float:
-    """Large-sample two-sample KS critical value c(alpha) sqrt((n1+n2)/(n1 n2)).
-
-    c(alpha) = sqrt(-ln(alpha/2) / 2); c(0.01) is about 1.628.
-    """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("sample sizes must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 def ks_distance_to_survival(values: Sequence[float], survival: Callable[[np.ndarray], np.ndarray]) -> float:

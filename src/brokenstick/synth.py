@@ -2,7 +2,8 @@
 
 Each race draws a field size, breaks the unit interval into true winning
 probabilities, samples exactly one winner from them, and quotes decimal
-odds as reciprocals of (optionally jittered) probabilities.  With
+odds as reciprocals of (optionally jittered) probabilities.  All races of
+one field size are drawn together, in ascending order of n.  With
 ``odds_noise=0`` the market is perfectly efficient: implied odds equal the
 true probabilities and sum to one.  Positive noise multiplies each
 probability by an independent log-normal factor before renormalizing,
@@ -16,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .montecarlo import CONSTRUCTIONS, sample_race
+from .montecarlo import CONSTRUCTIONS, sample_races
 from .orderstats import FieldSizeHistogram
 from .racedata import RaceEntry, RaceRecord
 
@@ -76,27 +77,35 @@ def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecor
     """Generate races in the same schema the CSV ingestion layer reads.
 
     Deterministic in the seed: the generator is Philox keyed by
-    ``SeedSequence(seed)`` and consumed in a fixed order.
+    ``SeedSequence(seed)``.  After the field sizes, each distinct n in
+    ascending order takes three draws for all its races: the divisions with
+    their winners, the log-normal noise (only when ``odds_noise > 0``) and the
+    order the horses are listed in.  Horse ``h{k:02d}`` is the k-th largest
+    segment of its race.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=config.seed)))
     field_sizes = _draw_field_sizes(config, rng)
+    ends = np.cumsum(field_sizes)
 
-    records: list[RaceRecord] = []
-    for index, n in enumerate(field_sizes):
-        n = int(n)
-        probs, winner_rank = sample_race(n, rng, config.construction)
+    # per row, in output order: decimal odds, 1-based segment rank, won
+    odds = np.empty(ends[-1])
+    rank = np.empty(ends[-1], dtype=np.int64)
+    won = np.empty(ends[-1], dtype=bool)
+    for n in np.unique(field_sizes).tolist():
+        races = np.flatnonzero(field_sizes == n)
+        probs, winner_ranks = sample_races(n, races.size, rng, config.construction)
         quoted = probs
         if config.odds_noise > 0.0:
-            quoted = probs * rng.lognormal(0.0, config.odds_noise, n)
-            quoted = quoted / quoted.sum()
-        order = rng.permutation(n)
-        entries = tuple(
-            RaceEntry(
-                horse_id=f"h{j + 1:02d}",
-                decimal_odds=float(1.0 / quoted[j]),
-                won=(j == winner_rank - 1),
-            )
-            for j in order
-        )
-        records.append(RaceRecord(race_id=f"r{index + 1:06d}", entries=entries))
-    return records
+            quoted = probs * rng.lognormal(0.0, config.odds_noise, probs.shape)
+            quoted = quoted / quoted.sum(axis=1, keepdims=True)
+        order = rng.permuted(np.tile(np.arange(n), (races.size, 1)), axis=1)
+        rows = (ends[races] - n)[:, None] + np.arange(n)
+        odds[rows] = 1.0 / np.take_along_axis(quoted, order, axis=1)
+        rank[rows] = order + 1
+        won[rows] = order == winner_ranks[:, None] - 1
+
+    entries = list(map(RaceEntry, [f"h{k:02d}" for k in rank.tolist()], odds.tolist(), won.tolist()))
+    return [
+        RaceRecord(race_id=f"r{index + 1:06d}", entries=tuple(entries[end - n:end]))
+        for index, (n, end) in enumerate(zip(field_sizes.tolist(), ends.tolist()))
+    ]

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from brokenstick.montecarlo import SimConfig, _races, chunk_rng, sample_divisions
+from brokenstick.montecarlo import SimConfig, chunk_rng, sample_divisions, sample_races
 
 
 def sample_kth_segment(n: int, k: int, config: SimConfig) -> np.ndarray:
@@ -44,7 +44,7 @@ def moment(n: int, k: int, config: SimConfig, power: int) -> tuple[float, float]
 
 def winner_stats(n: int, config: SimConfig) -> dict[str, np.ndarray]:
     """Reference win frequencies, win-conditioned means and winner mean, with SEs."""
-    draws = [_races(n, count, chunk_rng(config.seed, index), config.construction)
+    draws = [sample_races(n, count, chunk_rng(config.seed, index), config.construction)
              for index, count in config.chunks()]
     ranks = np.concatenate([r for _, r in draws])
     lengths = np.concatenate([s[np.arange(r.size), r - 1] for s, r in draws])

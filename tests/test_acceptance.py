@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import kstwo
 
 import mc_reference
+from ks_reference import ks_critical_value, ks_statistic_two_sample
 from brokenstick.analysis import build_report
 from brokenstick.cli import main as cli_main
 from brokenstick.montecarlo import (
@@ -29,11 +30,7 @@ from brokenstick.orderstats import (
 )
 from brokenstick.quadrature import mean_via_quadrature, second_moment_via_quadrature
 from brokenstick.racedata import parse_races, races_to_csv_text, rank_races
-from brokenstick.stats import (
-    ks_critical_value,
-    ks_distance_to_survival,
-    ks_statistic_two_sample,
-)
+from brokenstick.stats import ks_distance_to_survival
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 
 PIPELINE_RACES = 12_000

@@ -21,6 +21,7 @@ from brokenstick.orderstats import (
     quantile_grid,
 )
 from brokenstick.racedata import BucketSpec, FieldSizeBucket, RaceEntry, RaceRecord, rank_races
+from brokenstick.stats import EccdfCurve
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 
 ALL = FieldSizeBucket("all", 5)
@@ -275,3 +276,21 @@ def test_curve_csv_format():
     assert len(lines) == len(empirical) + 1
     x, s = lines[1].split(",")
     float(x), float(s)
+
+
+@pytest.mark.parametrize("digits", [4, 10, 17])
+def test_curve_csv_matches_per_point_format(digits):
+    tiny = np.finfo(float).tiny
+    special = [0.0, -0.0, 5e-324, tiny / 2, -tiny / 3, tiny, 1e16, 123456789012.0,
+               np.inf, -np.inf, np.nan, 1.0, 0.1, 9.9999999995e-5]
+    rng = np.random.default_rng(2024)
+    scale = 10.0 ** rng.integers(-300, 300, 5000)
+    values = np.concatenate([special, rng.random(5000), rng.standard_normal(5000) * scale])
+    curve = EccdfCurve(np.sort(values), values)  # nan sorts last and passes the order check
+    reference = ["x,survival"] + [f"{x:.{digits}g},{s:.{digits}g}" for x, s in zip(curve.x, curve.survival)]
+    text = curve_to_csv_text(curve, digits)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    assert len(lines) == len(reference)
+    wrong = [(got, want) for got, want in zip(lines, reference) if got != want]
+    assert not wrong, wrong[:5]

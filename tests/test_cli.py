@@ -57,6 +57,13 @@ class TestTheory:
         assert code == EXIT_OK
         assert out.strip() == "0.5"
 
+    def test_repeated_x_adds_points(self, capsys):
+        common = ("theory", "--n", "4", "--k", "2", "--stat", "ccdf", "--format", "csv")
+        repeated = run(capsys, *common, "--x", "0.1", "--x", "0.3,0.2")
+        assert repeated[0] == EXIT_OK
+        assert len(repeated[1].strip().splitlines()) == 4
+        assert repeated == run(capsys, *common, "--x", "0.1,0.3,0.2")
+
     def test_invalid_rank(self, capsys):
         code, _, err = run(capsys, "theory", "--n", "3", "--k", "9", "--stat", "mean")
         assert code == EXIT_USAGE
@@ -98,6 +105,13 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         assert len(out.strip().splitlines()) == 6
+
+    def test_repeated_x_adds_points(self, capsys):
+        common = ("simulate", "--n", "3", "--k", "1", "--stat", "ccdf", "--samples", "20000")
+        repeated = run(capsys, *common, "--x", "0", "--x", "1", "--x", "0.5")
+        assert repeated[0] == EXIT_OK
+        assert len(repeated[1].strip().splitlines()) == 4  # header and three rows
+        assert repeated == run(capsys, *common, "--x", "0,1,0.5")
 
     def test_exponential_construction(self, capsys):
         code, out, _ = run(

@@ -105,64 +105,64 @@ t12,h09,10.0,0
 t12,h10,10.0,0
 """
 
-SYNTH_CSV_DIGEST = "8a5783c6c3c9460f95447cdfe0c4fcb8f923c943bd2915ce7f44b64852d2f7a5"
+SYNTH_CSV_DIGEST = "dbfeb6a752d65be2b71688aac9694d99cd6e4530a2833819b542891cf3f9bd3d"
 
 DIGESTS = {
     ("synth",): {
         "report.csv":
-            "9b9a54b2b9b2199e3db8e1db45e8524c424bda1a2cda3917c43412e25544fd96",
+            "b96bc2edcf06a7ba9c542c47023003d478c38e5870bbb3c42a50db9770409151",
         "report.json":
-            "59fb20528e46db8e6e838920a3785db91374e7f1e88319a7f83ab730d7a78c7a",
+            "4ad63cec5348799a92f37a543c9a80028760d470a5939ba459c3e5339f247431",
         "rejections.csv":
             "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
         "eccdf_rank1_empirical.csv":
-            "f69742833aec0f49428d969679dc6af0f22152a958e617797f554ac306e0e948",
+            "e02435bb5507af99cb84b5adb4b87dfbb4d2bd975f0805c0718d914514cbe8a5",
         "eccdf_rank1_theory.csv":
-            "5b7a68405ee9d01a3eaa1a6dc71f1662cd8e69daa9d987f0349047ce5ef92322",
+            "25b412dad9ab438c696c3ee0ff3f715efc5a3916f1692e7fc187c1c1bf1d8797",
         "eccdf_rank2_empirical.csv":
-            "70fc021855ab6576ca5f790626e58442d54f2253adfc7fd19dbf4e76de56e437",
+            "10f639528ce362b9cb9111bfdb63208eb17ddd3b0db5331ba6338d66f63dc739",
         "eccdf_rank2_theory.csv":
-            "06367ec6ea646c7d0b39b9f0a1b5c76006c97cf1451c80c29e0eaa9af315cc56",
+            "dec617338aed3315f20e696bb885981b6cf6dc39595ead0c8866ba2d08bc68c4",
         "eccdf_rank3_empirical.csv":
-            "ca9bfcaf8f3493494730322d2634ab703ef84aea6cf39795865b2fb8b0d58e11",
+            "4f62b85830a299a092010b7148596c7f8d4f594b3d1c7a157c0ef3e55074c1f4",
         "eccdf_rank3_theory.csv":
-            "ea04df03cde39c39dc7173347f768e55d74f6308d851720ca99312d13bce2040",
+            "fd8643711ca28c3c59f87144a61756c42351f31cfce620b4f5e149ca0e7b3cb2",
         "eccdf_rank4_empirical.csv":
-            "4697713f4d6e6995530ea1d4da27cf39e17909ce78c5632135d71994cb923228",
+            "771bc68d76d01e2b38c2b7647f7bbb304ba3d445b378b6f77db5dd34d75d2043",
         "eccdf_rank4_theory.csv":
-            "fe8b90bb18a9290b622e47dfe264f5c5dcace7eec3e1e85e6cab13983ea00584",
+            "5156186c3f69acbea8d0edeff5620d76b54cdbab680df53459d0ed4b1a52292b",
         "eccdf_ranklongshot_empirical.csv":
-            "81649d53f0050e00d0ff65278f83c4727dd7905ab3787b0290a12f9f2063c7d9",
+            "c8606002d9b4b35ca40eee0dc310695facf55c61dd6d667799d821b5bc6d9630",
         "eccdf_ranklongshot_theory.csv":
-            "f927e1ff4c99507a7820065ec85e779a7e0cbcab230e6bbe525e61934c7a27d4",
+            "866a0aa9dcf19c674ec12a4a3bb59d735c4943c7862450f5d7acb67dc4c99f70",
     },
     ("synth", "--renormalize"): {
         "report.csv":
-            "9b9a54b2b9b2199e3db8e1db45e8524c424bda1a2cda3917c43412e25544fd96",
+            "b96bc2edcf06a7ba9c542c47023003d478c38e5870bbb3c42a50db9770409151",
         "report.json":
-            "b94ab9dd73a3aadf424952eba74f2fef879054c285a5891b0a8c309bcd804e5a",
+            "88b14ac8934fe8a80badd36bf6672d89c566852ff53fe36ff4e45f5545c2b875",
         "rejections.csv":
             "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
         "eccdf_rank1_empirical.csv":
-            "f69742833aec0f49428d969679dc6af0f22152a958e617797f554ac306e0e948",
+            "e02435bb5507af99cb84b5adb4b87dfbb4d2bd975f0805c0718d914514cbe8a5",
         "eccdf_rank1_theory.csv":
-            "5b7a68405ee9d01a3eaa1a6dc71f1662cd8e69daa9d987f0349047ce5ef92322",
+            "25b412dad9ab438c696c3ee0ff3f715efc5a3916f1692e7fc187c1c1bf1d8797",
         "eccdf_rank2_empirical.csv":
-            "70fc021855ab6576ca5f790626e58442d54f2253adfc7fd19dbf4e76de56e437",
+            "10f639528ce362b9cb9111bfdb63208eb17ddd3b0db5331ba6338d66f63dc739",
         "eccdf_rank2_theory.csv":
-            "06367ec6ea646c7d0b39b9f0a1b5c76006c97cf1451c80c29e0eaa9af315cc56",
+            "dec617338aed3315f20e696bb885981b6cf6dc39595ead0c8866ba2d08bc68c4",
         "eccdf_rank3_empirical.csv":
-            "ca9bfcaf8f3493494730322d2634ab703ef84aea6cf39795865b2fb8b0d58e11",
+            "4f62b85830a299a092010b7148596c7f8d4f594b3d1c7a157c0ef3e55074c1f4",
         "eccdf_rank3_theory.csv":
-            "ea04df03cde39c39dc7173347f768e55d74f6308d851720ca99312d13bce2040",
+            "fd8643711ca28c3c59f87144a61756c42351f31cfce620b4f5e149ca0e7b3cb2",
         "eccdf_rank4_empirical.csv":
-            "4697713f4d6e6995530ea1d4da27cf39e17909ce78c5632135d71994cb923228",
+            "771bc68d76d01e2b38c2b7647f7bbb304ba3d445b378b6f77db5dd34d75d2043",
         "eccdf_rank4_theory.csv":
-            "fe8b90bb18a9290b622e47dfe264f5c5dcace7eec3e1e85e6cab13983ea00584",
+            "5156186c3f69acbea8d0edeff5620d76b54cdbab680df53459d0ed4b1a52292b",
         "eccdf_ranklongshot_empirical.csv":
-            "81649d53f0050e00d0ff65278f83c4727dd7905ab3787b0290a12f9f2063c7d9",
+            "c8606002d9b4b35ca40eee0dc310695facf55c61dd6d667799d821b5bc6d9630",
         "eccdf_ranklongshot_theory.csv":
-            "f927e1ff4c99507a7820065ec85e779a7e0cbcab230e6bbe525e61934c7a27d4",
+            "866a0aa9dcf19c674ec12a4a3bb59d735c4943c7862450f5d7acb67dc4c99f70",
     },
     ("ties",): {
         "report.csv":

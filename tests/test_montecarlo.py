@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mc_reference
+from ks_reference import ks_critical_value, ks_statistic_two_sample
 from brokenstick.montecarlo import (
     CONSTRUCTIONS,
     SimConfig,
@@ -14,10 +15,9 @@ from brokenstick.montecarlo import (
     estimate_second_moment,
     estimate_winner_stats,
     sample_divisions,
-    sample_race,
+    sample_races,
 )
 from brokenstick.orderstats import SegmentLaw, ccdf_kth_largest, quantile_grid
-from brokenstick.stats import ks_critical_value, ks_statistic_two_sample
 
 
 class TestSimConfig:
@@ -79,12 +79,23 @@ def test_degenerate_rows_are_resampled():
         calls.append(count)
         return np.repeat(replacement, count, axis=0)
 
-    segments = np.array([[0.5, 0.5], [0.0, 1.0], [np.nan, 1.0]])
+    segments = np.array([[0.5, 0.5], [0.0, 1.0], [np.nan, 1.0], [np.inf, 0.2], [0.3, 0.7]])
     fixed = _resample_degenerate(segments, sampler)
-    assert calls == [2]
-    assert np.array_equal(fixed[0], [0.5, 0.5])
-    assert np.array_equal(fixed[1], [0.6, 0.4])
-    assert np.array_equal(fixed[2], [0.6, 0.4])
+    assert calls == [3]
+    assert fixed.tolist() == [[0.5, 0.5], [0.6, 0.4], [0.6, 0.4], [0.6, 0.4], [0.3, 0.7]]
+
+    # each kind of degenerate row is caught on its own
+    for bad_row in ([0.0, 1.0], [np.nan, 1.0], [np.inf, 0.2], [-0.1, 1.1]):
+        calls.clear()
+        fixed = _resample_degenerate(np.array([[0.5, 0.5], bad_row]), sampler)
+        assert calls == [1]
+        assert fixed.tolist() == [[0.5, 0.5], [0.6, 0.4]]
+
+    # a clean chunk is returned as it is, without a redraw
+    calls.clear()
+    clean = np.array([[0.5, 0.5], [5e-324, 1.0]])
+    assert _resample_degenerate(clean, sampler) is clean
+    assert calls == []
 
 
 def test_sample_divisions_validation():
@@ -177,11 +188,9 @@ def test_estimate_mean_matches_closed_form(construction):
 
 
 def test_sample_race_single_horse_always_wins():
-    rng = chunk_rng(13, 0)
-    for _ in range(5):
-        division, winner = sample_race(1, rng)
-        assert winner == 1
-        assert list(division) == [1.0]
+    divisions, winners = sample_races(1, 5, chunk_rng(13, 0))
+    assert winners.tolist() == [1] * 5
+    assert divisions.tolist() == [[1.0]] * 5
 
 
 def test_winner_stats_match_theory():

@@ -108,3 +108,70 @@ def test_winner_frequency_tracks_probability():
         favourite_wins += favourite.won
     # favourite wins with probability 3/4; binomial 5 sigma band
     assert abs(favourite_wins / 400 - 0.75) < 5 * np.sqrt(0.75 * 0.25 / 400)
+
+
+def test_synth_golden_values():
+    # pins the synth stream: field sizes first, then per distinct n in
+    # ascending order the divisions with winners, the noise and the horse
+    # order; a change here breaks stored reproducibility
+    expected = {
+        ("uniform-cuts", 0.0): [
+            ("h06", 103.22599659301038, False),
+            ("h03", 7.156771471661161, False),
+            ("h04", 8.380637723860925, True),
+            ("h02", 5.944424874746368, False),
+            ("h01", 1.917761254803668, False),
+            ("h05", 24.040858055666984, False),
+        ],
+        ("uniform-cuts", 0.3): [
+            ("h01", 2.8373000184702986, False),
+            ("h05", 6.155998048246957, False),
+            ("h04", 6.994816660424972, False),
+            ("h02", 6.255348787899709, True),
+            ("h03", 6.18636087139025, False),
+            ("h06", 48.456787988095286, False),
+        ],
+        ("exponential-ratio", 0.0): [
+            ("h05", 17.766561360114192, True),
+            ("h02", 5.835097312560811, False),
+            ("h03", 7.619327937706701, False),
+            ("h01", 1.9974086287804382, False),
+            ("h06", 20.873710767967744, False),
+            ("h04", 10.806519098303568, False),
+        ],
+        ("exponential-ratio", 0.3): [
+            ("h03", 6.052109093252947, False),
+            ("h02", 4.3898453344343595, False),
+            ("h04", 9.448918699928402, True),
+            ("h06", 2499.6751553938907, False),
+            ("h05", 192.7991784644066, False),
+            ("h01", 2.0179562783511455, False),
+        ],
+    }
+    hist = FieldSizeHistogram({n: 1 for n in range(5, 9)})
+    for (construction, noise), entries in expected.items():
+        records = generate_synthetic_dataset(
+            SyntheticDatasetConfig(race_count=20, field_sizes=hist, seed=2024,
+                                   odds_noise=noise, construction=construction)
+        )
+        assert [r.field_size for r in records] == [
+            6, 7, 5, 7, 7, 6, 7, 8, 5, 5, 8, 7, 7, 7, 8, 7, 7, 5, 7, 7
+        ]
+        first = records[0].entries
+        assert [(e.horse_id, e.won) for e in first] == [(h, w) for h, _, w in entries]
+        assert [e.decimal_odds for e in first] == pytest.approx([o for _, o, _ in entries], rel=1e-14)
+
+
+def test_explicit_field_sizes_keep_race_order():
+    # races are drawn grouped by field size but listed in the given order
+    sizes = [9, 2, 5, 2, 9, 3, 5, 5, 2, 7]
+    records = generate_synthetic_dataset(
+        SyntheticDatasetConfig(race_count=len(sizes), field_sizes=sizes, seed=11)
+    )
+    assert [r.race_id for r in records] == [f"r{i + 1:06d}" for i in range(len(sizes))]
+    assert [r.field_size for r in records] == sizes
+    for record in records:
+        assert sorted(e.horse_id for e in record.entries) == [
+            f"h{k:02d}" for k in range(1, record.field_size + 1)
+        ]
+        assert sum(e.won for e in record.entries) == 1
