@@ -40,6 +40,7 @@ from .racedata import (
     FieldSizeBucket,
     RaceEntry,
     RaceRecord,
+    Races,
     RaceTable,
     Rejection,
     parse_races,

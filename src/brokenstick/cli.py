@@ -292,11 +292,10 @@ def cmd_synth(args) -> int:
         odds_noise=args.odds_noise,
         construction=args.construction,
     )
-    records = synth.generate_synthetic_dataset(config)
-    racedata.write_races_csv(records, args.output)
-    histogram = orderstats.FieldSizeHistogram.from_sizes(r.field_size for r in records)
-    total_rows = sum(r.field_size for r in records)
-    print(f"wrote {len(records)} races ({total_rows} rows) to {args.output}")
+    races = synth.generate_synthetic_dataset(config)
+    racedata.write_races_csv(races, args.output)
+    histogram = orderstats.FieldSizeHistogram.from_sizes(races.field_size)
+    print(f"wrote {len(races)} races ({races.offsets[-1]} rows) to {args.output}")
     print("field sizes: " + ", ".join(f"{n}:{c}" for n, c in sorted(histogram.counts.items())))
     return EXIT_OK
 
@@ -314,16 +313,16 @@ def _rejections_csv(rejections) -> str:
 
 
 def cmd_analyze(args) -> int:
-    records, rejections = racedata.parse_races(args.input, overround_delta=args.overround_delta)
+    races, rejections = racedata.parse_races(args.input, overround_delta=args.overround_delta)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "rejections.csv").write_text(_rejections_csv(rejections), encoding="utf-8")
-    if not records:
+    if not races:
         sys.stderr.write(f"no valid races in {args.input} ({len(rejections)} rejected)\n")
         return EXIT_USAGE
 
-    races = racedata.rank_races(records, renormalize=args.renormalize)
-    kept = races.select(races.field_size >= args.min_field_size)
+    table = racedata.rank_races(races, renormalize=args.renormalize)
+    kept = table.select(table.field_size >= args.min_field_size)
     report = analysis.build_report(
         kept,
         min_field_size=args.min_field_size,
@@ -349,8 +348,7 @@ def cmd_analyze(args) -> int:
             analysis.curve_to_csv_text(theory), encoding="utf-8"
         )
 
-    accepted = len(records)
-    print(f"accepted {accepted} races, rejected {len(rejections)}; reports in {outdir}")
+    print(f"accepted {len(races)} races, rejected {len(rejections)}; reports in {outdir}")
     for bucket_report in report.buckets:
         print(f"  bucket {bucket_report.bucket.name}: {bucket_report.races} races")
     return EXIT_OK

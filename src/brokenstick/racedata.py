@@ -1,4 +1,4 @@
-"""Race records, implied-odds ranking, and validated CSV ingestion.
+"""Race columns, implied-odds ranking, and validated CSV ingestion.
 
 Input schema (UTF-8 CSV, header required, rows of one race need not be
 contiguous)::
@@ -9,12 +9,13 @@ contiguous)::
 valid quote is > 1 and its reciprocal is the implied winning probability.
 ``won`` is 0 or 1 with exactly one winner per race.  Races violating an
 invariant are excluded and logged, never fatal: parsing always returns the
-accepted records together with the rejection log.
+accepted races together with the rejection log.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -26,14 +27,15 @@ import numpy as np
 __all__ = [
     "CSV_COLUMNS",
     "DEFAULT_OVERROUND_DELTA",
+    "INVARIANTS",
     "RaceEntry",
     "RaceRecord",
+    "Races",
     "RaceTable",
     "Rejection",
     "FieldSizeBucket",
     "BucketSpec",
     "parse_races",
-    "race_invariant_violation",
     "rank_races",
     "write_races_csv",
     "races_to_csv_text",
@@ -45,6 +47,17 @@ CSV_COLUMNS = ("race_id", "horse_id", "decimal_odds", "won")
 # fees and spread keep the raw sum only roughly one.
 DEFAULT_OVERROUND_DELTA = 0.10
 
+# What a race must pass, in the order checked: a race failing several is
+# rejected for the first.
+INVARIANTS = (
+    "fewer than 2 entries",
+    "duplicate horse id",
+    "decimal odds not greater than 1",
+    "dead heat",
+    "no winner",
+    "overround out of band",
+)
+
 
 @dataclass(frozen=True)
 class RaceEntry:
@@ -55,6 +68,8 @@ class RaceEntry:
 
 @dataclass(frozen=True)
 class RaceRecord:
+    """One race as a tuple of entries: the view ``Races[i]`` returns."""
+
     race_id: str
     entries: tuple[RaceEntry, ...]
 
@@ -66,34 +81,69 @@ class RaceRecord:
         return sum(1.0 / e.decimal_odds for e in self.entries)
 
 
+@dataclass(frozen=True, eq=False)
+class Races:
+    """Races as columns, one row per horse, in input order.
+
+    Race i is ``race_ids[i]`` with rows ``offsets[i]:offsets[i + 1]`` of
+    ``horse_ids``, ``decimal_odds`` and ``won``, in the order the input
+    lists them.  ``races[i]`` and ``iter(races)`` give ``RaceRecord`` views.
+    """
+
+    race_ids: np.ndarray
+    offsets: np.ndarray
+    horse_ids: np.ndarray
+    decimal_odds: np.ndarray
+    won: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[RaceRecord]) -> "Races":
+        records = list(records)
+        entries = [e for r in records for e in r.entries]
+        sizes = np.array([len(r.entries) for r in records], dtype=np.int64)
+        return cls(
+            race_ids=np.array([r.race_id for r in records], dtype=object),
+            offsets=np.concatenate(([0], np.cumsum(sizes))),
+            horse_ids=np.array([e.horse_id for e in entries], dtype=object),
+            decimal_odds=np.array([e.decimal_odds for e in entries], dtype=float),
+            won=np.array([e.won for e in entries], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.race_ids)
+
+    @property
+    def field_size(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __getitem__(self, i: int) -> RaceRecord:
+        i = range(len(self))[i]
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        entries = map(
+            RaceEntry,
+            self.horse_ids[rows].tolist(),
+            self.decimal_odds[rows].tolist(),
+            self.won[rows].tolist(),
+        )
+        return RaceRecord(self.race_ids[i], tuple(entries))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Races):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in dataclasses.fields(self)
+        )
+
+
 @dataclass(frozen=True)
 class Rejection:
     race_id: str | None
     reason: str
     line: int | None = None
-
-
-def race_invariant_violation(
-    record: RaceRecord, overround_delta: float = DEFAULT_OVERROUND_DELTA
-) -> str | None:
-    """Reason the record is invalid, or None if it passes every invariant."""
-    if record.field_size < 2:
-        return "fewer than 2 entries"
-    ids = [e.horse_id for e in record.entries]
-    if len(set(ids)) != len(ids):
-        return "duplicate horse id"
-    for entry in record.entries:
-        if not math.isfinite(entry.decimal_odds) or entry.decimal_odds <= 1.0:
-            return "decimal odds not greater than 1"
-    winners = sum(1 for e in record.entries if e.won)
-    if winners > 1:
-        return "dead heat"
-    if winners == 0:
-        return "no winner"
-    total = record.implied_odds_sum()
-    if not (1.0 - overround_delta <= total <= 1.0 + overround_delta):
-        return "overround out of band"
-    return None
 
 
 def _open_source(source) -> IO[str]:
@@ -109,94 +159,191 @@ def _open_source(source) -> IO[str]:
     raise TypeError(f"cannot read races from {type(source).__name__}")
 
 
+def _race_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each race's sum of its rows' values, added left to right in row order.
+
+    The bits are those of adding the values one by one from 0.0, as ``sum``
+    does before Python 3.12 (``np.add.reduceat`` sums pairwise, which moves
+    last bits).  Row position j is added to every race longer than j at
+    once, longest races first, so the whole costs one pass over the rows
+    however long the longest race is.
+    """
+    sizes = np.diff(offsets)
+    longest_first = np.argsort(-sizes, kind="stable")
+    starts = offsets[:-1][longest_first]
+    longer = len(sizes) - np.searchsorted(np.sort(sizes), np.arange(sizes.max(initial=0)), "right")
+    total = np.zeros(len(sizes))
+    for j, count in enumerate(longer.tolist()):
+        total[:count] += values[starts[:count] + j]
+    sums = np.empty_like(total)
+    sums[longest_first] = total
+    return sums
+
+
+def _first_failed_invariant(race, sizes, horse, won, odds, overround_delta) -> np.ndarray:
+    """Per race, 1 + the index in ``INVARIANTS`` of the first check it fails, or 0.
+
+    Row j of ``horse`` (id codes), ``won`` and ``odds`` belongs to race
+    ``race[j]``; race i has ``sizes[i]`` rows and they are consecutive.
+    """
+    by_id = np.lexsort((horse, race))
+    pairs = (horse[by_id][1:] == horse[by_id][:-1]) & (race[by_id][1:] == race[by_id][:-1])
+    winners = np.bincount(race[won], minlength=len(sizes))
+    with np.errstate(divide="ignore", invalid="ignore"):  # bad odds fail before the band
+        total = _race_sums(1.0 / odds, np.concatenate(([0], np.cumsum(sizes))))
+    failed = (
+        sizes < 2,
+        np.bincount(race[by_id][1:][pairs], minlength=len(sizes)) > 0,
+        np.bincount(race[~(np.isfinite(odds) & (odds > 1.0))], minlength=len(sizes)) > 0,
+        winners > 1,
+        winners == 0,
+        ~((1.0 - overround_delta <= total) & (total <= 1.0 + overround_delta)),
+    )
+    return np.select(failed, np.arange(1, len(INVARIANTS) + 1), 0)
+
+
 def parse_races(
     source, overround_delta: float = DEFAULT_OVERROUND_DELTA
-) -> tuple[list[RaceRecord], list[Rejection]]:
+) -> tuple[Races, list[Rejection]]:
     """Parse and validate a race CSV.
 
-    Returns (accepted records, rejection log).  A malformed row poisons its
-    race (one log entry with the line number); a race violating an invariant
-    is excluded with the rejecting reason.  Every input row is accounted for:
-    each distinct non-empty race id is either accepted or carried by exactly
-    one rejection, and each row without a race id is one rejection of its
-    own (race id None, with the row's line number).
+    Returns (accepted races, rejection log).  Races keep the order in which
+    their ids first appear, and each race keeps its rows in input order.  A
+    malformed row poisons its race (one log entry with the line number, the
+    reader's row index + 2); a race violating an invariant is excluded with
+    the first reason of ``INVARIANTS`` it fails.  The log lists malformed
+    rows in input order, then invariant rejections in race order.  Every
+    input row is accounted for: each distinct non-empty race id is either
+    accepted or carried by exactly one rejection, and each row without a
+    race id is one rejection of its own (race id None, with the row's line
+    number).
+
+    The rows stream once into columns: each field but the odds becomes a
+    code into one table of the distinct texts, the odds are read by
+    ``float`` as they stream, and every check after that is an array
+    operation over all rows or all races.
     """
-    stream = _open_source(source)
-    try:
+    from array import array  # here, so importing the package does not load it
+
+    width = len(CSV_COLUMNS)
+    texts: dict[str, int] = {}  # each distinct field text -> its code
+    code = texts.setdefault
+    race, horse, won = array("q"), array("q"), array("q")
+    odds, lines = array("d"), array("q")
+    width_errors: dict[int, str] = {}  # row -> message, for rows not `width` fields wide
+    odds_errors: dict[int, str] = {}  # row -> message of float() on its odds
+    with _open_source(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
             raise ValueError(
                 f"expected header {','.join(CSV_COLUMNS)!r}, got {header!r}"
             )
-
-        rows: dict[str, list[RaceEntry]] = {}
-        order: list[str] = []
-        rejections: list[Rejection] = []
-        poisoned: set[str] = set()
-
         for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if len(row) == width:
+                race.append(code(row[0], len(texts)))
+                horse.append(code(row[1], len(texts)))
+                won.append(code(row[3], len(texts)))
+                try:
+                    odds.append(float(row[2]))
+                except ValueError as exc:
+                    odds.append(math.nan)
+                    odds_errors[len(lines)] = str(exc)
+            elif not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
-            race_id = row[0].strip() if row else ""
-            try:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-                horse_id = row[1].strip()
-                if not race_id or not horse_id:
-                    raise ValueError("empty race_id or horse_id")
-                odds = float(row[2])
-                won_text = row[3].strip()
-                if won_text not in ("0", "1"):
-                    raise ValueError(f"won must be 0 or 1, got {won_text!r}")
-                entry = RaceEntry(horse_id, odds, won_text == "1")
-            except ValueError as exc:
-                rid = race_id or None
-                if rid is not None and rid not in poisoned and rid not in rows:
-                    order.append(rid)
-                if rid is None or rid not in poisoned:
-                    rejections.append(Rejection(rid, f"malformed row: {exc}", line))
-                if rid is not None:
-                    poisoned.add(rid)
-                    rows.pop(rid, None)
-                continue
-            if race_id in poisoned:
-                continue
-            if race_id not in rows:
-                rows[race_id] = []
-                order.append(race_id)
-            rows[race_id].append(entry)
-
-        accepted: list[RaceRecord] = []
-        for race_id in order:
-            if race_id in poisoned:
-                continue
-            record = RaceRecord(race_id, tuple(rows[race_id]))
-            reason = race_invariant_violation(record, overround_delta)
-            if reason is None:
-                accepted.append(record)
             else:
-                rejections.append(Rejection(race_id, reason))
-        return accepted, rejections
-    finally:
-        stream.close()
+                race.append(code(row[0], len(texts)))
+                horse.append(code("", len(texts)))
+                won.append(code("", len(texts)))
+                odds.append(math.nan)
+                width_errors[len(lines)] = f"expected {width} fields, got {len(row)}"
+            lines.append(line)
+
+    # Ids and flags are compared as stripped Python strings, through one id
+    # per distinct stripped text (numpy str arrays drop trailing NULs).
+    stripped = [t.strip() for t in texts]
+    ids: dict[str, int] = {}
+    id_of = np.fromiter((ids.setdefault(s, len(ids)) for s in stripped), np.int64, len(stripped))
+    names = np.array(list(ids), dtype=object)
+    empty = names == ""
+    race = id_of[np.frombuffer(race, np.int64)]
+    horse = id_of[np.frombuffer(horse, np.int64)]
+    won_code = np.frombuffer(won, np.int64)
+    won = np.array([s == "1" for s in stripped], dtype=bool)[won_code]
+    odds = np.frombuffer(odds)
+
+    # Malformed rows, by the row checks in order: width, ids, odds, won.
+    def malformed(row: int) -> str:
+        if row in width_errors:
+            return width_errors[row]
+        if empty[race[row]] or empty[horse[row]]:
+            return "empty race_id or horse_id"
+        if row in odds_errors:
+            return odds_errors[row]
+        return f"won must be 0 or 1, got {stripped[won_code[row]]!r}"
+
+    bad = empty[race] | empty[horse]
+    bad |= ~np.array([s in ("0", "1") for s in stripped], dtype=bool)[won_code]
+    bad[np.fromiter(width_errors, np.int64, len(width_errors))] = True
+    bad[np.fromiter(odds_errors, np.int64, len(odds_errors))] = True
+    bad_rows = np.flatnonzero(bad)
+    logged = empty[race[bad_rows]]  # every row without a race id, and
+    logged[np.unique(race[bad_rows], return_index=True)[1]] = True  # each race's first
+    rejections = [
+        Rejection(names[race[row]] or None, f"malformed row: {malformed(row)}", lines[row])
+        for row in bad_rows[logged].tolist()
+    ]
+
+    # The unpoisoned races in order of first appearance, each with its rows
+    # in input order.
+    ids_seen, first_row = np.unique(race, return_index=True)
+    poisoned = empty.copy()
+    poisoned[race[bad_rows]] = True
+    kept = ids_seen[np.argsort(first_row)]
+    kept = kept[~poisoned[kept]]
+    index = np.full(len(names), -1)
+    index[kept] = np.arange(len(kept))
+    race = index[race]
+    rows = np.flatnonzero(race >= 0)
+    rows = rows[np.argsort(race[rows], kind="stable")]
+    race, horse, won, odds = race[rows], horse[rows], won[rows], odds[rows]
+    sizes = np.bincount(race, minlength=len(kept))
+    reason = _first_failed_invariant(race, sizes, horse, won, odds, overround_delta)
+    rejections += [
+        Rejection(names[kept[i]], INVARIANTS[reason[i] - 1])
+        for i in np.flatnonzero(reason).tolist()
+    ]
+
+    ok = reason == 0
+    rows = np.repeat(ok, sizes)
+    accepted = Races(
+        race_ids=names[kept[ok]],
+        offsets=np.concatenate(([0], np.cumsum(sizes[ok]))),
+        horse_ids=names[horse[rows]],
+        decimal_odds=odds[rows],
+        won=won[rows],
+    )
+    return accepted, rejections
 
 
-def races_to_csv_text(records: Iterable[RaceRecord]) -> str:
-    """Serialize records to the input CSV schema (full float precision)."""
+def races_to_csv_text(races: Races) -> str:
+    """Serialize races to the input CSV schema (full float precision)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for record in records:
-        for entry in record.entries:
-            writer.writerow(
-                [record.race_id, entry.horse_id, repr(float(entry.decimal_odds)), int(entry.won)]
-            )
+    writer.writerows(
+        zip(
+            np.repeat(races.race_ids, races.field_size).tolist(),
+            races.horse_ids.tolist(),
+            map(repr, races.decimal_odds.tolist()),
+            races.won.astype(np.int64).tolist(),
+        )
+    )
     return out.getvalue()
 
 
-def write_races_csv(records: Iterable[RaceRecord], path) -> None:
-    Path(path).write_text(races_to_csv_text(records), encoding="utf-8")
+def write_races_csv(races: Races, path) -> None:
+    Path(path).write_text(races_to_csv_text(races), encoding="utf-8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,47 +383,41 @@ class RaceTable:
         )
 
 
-def rank_races(records: Iterable[RaceRecord], renormalize: bool = False) -> RaceTable:
+
+def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
     """Rank every race's horses by implied odds; rank 1 is the favourite.
 
     Equal-odds ties are broken by ascending horse id (deterministic) and
     counted in ``tie_count``.  With ``renormalize`` the implied odds are
-    divided by their race's sum (added left to right in entry order),
+    divided by their race's sum (added left to right in input order),
     removing the overround.  Every race needs exactly one winner.
     """
-    records = list(records)
-    sizes = np.fromiter((len(r.entries) for r in records), np.int64, len(records))
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    race = np.repeat(np.arange(len(records)), sizes)
-    entries = [e for r in records for e in r.entries]
-    q = 1.0 / np.fromiter((e.decimal_odds for e in entries), float, len(entries))
-    won = np.fromiter((e.won for e in entries), bool, len(entries))
-    horse_ids = np.array([e.horse_id for e in entries], dtype=object)
+    offsets, horse_ids, won = races.offsets, races.horse_ids, races.won
+    race = np.repeat(np.arange(len(races)), races.field_size)
+    q = 1.0 / races.decimal_odds
     if renormalize:
-        total = np.zeros(len(records))
-        for j in range(sizes.max(initial=0)):  # one entry column at a time
-            has = sizes > j
-            total[has] += q[offsets[:-1][has] + j]
-        q = q / total[race]
+        q = q / _race_sums(q, offsets)[race]
     # order horse ids as Python compares them (a numpy str array drops trailing NULs)
-    id_rank = {h: i for i, h in enumerate(sorted(set(horse_ids)))}
-    id_order = np.fromiter((id_rank[h] for h in horse_ids), np.int64, len(entries))
+    names = horse_ids.tolist()
+    id_rank = {h: i for i, h in enumerate(sorted(set(names)))}
+    id_order = np.fromiter(map(id_rank.__getitem__, names), np.int64, len(names))
     order = np.lexsort((id_order, -q, race))
     q, won, horse_ids = q[order], won[order], horse_ids[order]
 
-    winners = np.bincount(race[won], minlength=len(records))
+    winners = np.bincount(race[won], minlength=len(races))
     if np.any(winners != 1):
         bad = int(np.argmax(winners != 1))
-        raise ValueError(f"race {records[bad].race_id} has {winners[bad]} winners, needs one")
+        raise ValueError(f"race {races.race_ids[bad]} has {winners[bad]} winners, needs one")
     ties = (q[1:] == q[:-1]) & (race[1:] == race[:-1])
     return RaceTable(
-        race_ids=np.array([r.race_id for r in records], dtype=object),
+        race_ids=races.race_ids,
         offsets=offsets,
         horse_ids=horse_ids,
         implied_odds=q,
         winner_rank=np.flatnonzero(won) - offsets[:-1] + 1,
-        tie_count=np.bincount(race[1:][ties], minlength=len(records)),
+        tie_count=np.bincount(race[1:][ties], minlength=len(races)),
     )
+
 
 
 @dataclass(frozen=True)

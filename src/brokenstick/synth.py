@@ -19,7 +19,7 @@ import numpy as np
 
 from .montecarlo import CONSTRUCTIONS, sample_races
 from .orderstats import FieldSizeHistogram
-from .racedata import RaceEntry, RaceRecord
+from .racedata import Races
 
 __all__ = ["SyntheticDatasetConfig", "generate_synthetic_dataset"]
 
@@ -73,7 +73,7 @@ def _draw_field_sizes(config: SyntheticDatasetConfig, rng: np.random.Generator) 
     return np.asarray(list(law), dtype=np.int64)
 
 
-def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecord]:
+def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> Races:
     """Generate races in the same schema the CSV ingestion layer reads.
 
     Deterministic in the seed: the generator is Philox keyed by
@@ -87,7 +87,7 @@ def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecor
     field_sizes = _draw_field_sizes(config, rng)
     ends = np.cumsum(field_sizes)
 
-    # per row, in output order: decimal odds, 1-based segment rank, won
+    # per row, in output order: decimal odds, 0-based segment rank, won
     odds = np.empty(ends[-1])
     rank = np.empty(ends[-1], dtype=np.int64)
     won = np.empty(ends[-1], dtype=bool)
@@ -101,11 +101,14 @@ def generate_synthetic_dataset(config: SyntheticDatasetConfig) -> list[RaceRecor
         order = rng.permuted(np.tile(np.arange(n), (races.size, 1)), axis=1)
         rows = (ends[races] - n)[:, None] + np.arange(n)
         odds[rows] = 1.0 / np.take_along_axis(quoted, order, axis=1)
-        rank[rows] = order + 1
+        rank[rows] = order
         won[rows] = order == winner_ranks[:, None] - 1
 
-    entries = list(map(RaceEntry, [f"h{k:02d}" for k in rank.tolist()], odds.tolist(), won.tolist()))
-    return [
-        RaceRecord(race_id=f"r{index + 1:06d}", entries=tuple(entries[end - n:end]))
-        for index, (n, end) in enumerate(zip(field_sizes.tolist(), ends.tolist()))
-    ]
+    names = np.array([f"h{k:02d}" for k in range(1, field_sizes.max() + 1)], dtype=object)
+    return Races(
+        race_ids=np.array([f"r{i:06d}" for i in range(1, config.race_count + 1)], dtype=object),
+        offsets=np.concatenate(([0], ends)),
+        horse_ids=names[rank],
+        decimal_odds=odds,
+        won=won,
+    )

@@ -20,7 +20,14 @@ from brokenstick.orderstats import (
     pooled_conditional_mean_given_win,
     quantile_grid,
 )
-from brokenstick.racedata import BucketSpec, FieldSizeBucket, RaceEntry, RaceRecord, rank_races
+from brokenstick.racedata import (
+    BucketSpec,
+    FieldSizeBucket,
+    RaceEntry,
+    RaceRecord,
+    Races,
+    rank_races,
+)
 from brokenstick.stats import EccdfCurve
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 
@@ -50,7 +57,7 @@ def _bucket(races, bucket=ALL, theory_field_size=None):
 
 def test_single_race_win_frequencies():
     # rank-3 horse won: P(3) = 1, every other rank 0
-    races = rank_races([_race("r1", [2.5, 3.5, 5.0, 9.0, 19.0], 2)])
+    races = rank_races(Races.from_records([_race("r1", [2.5, 3.5, 5.0, 9.0, 19.0], 2)]))
     by_label = {row.selector: row.win_frequency for row in _bucket(races).rows}
     assert by_label[3].value == 1.0
     assert by_label[1].value == 0.0
@@ -96,7 +103,7 @@ def test_theory_column_is_bucket_mixture():
 def test_conditional_cells_marked_absent_without_wins():
     # hand-built races where the longshot never wins
     races = rank_races(
-        [_race(f"r{i}", [2.5, 3.5, 5.0, 9.0, 19.0], 0) for i in range(4)]
+        Races.from_records([_race(f"r{i}", [2.5, 3.5, 5.0, 9.0, 19.0], 0) for i in range(4)])
     )
     by_label = {row.selector: row.implied_odds_given_win for row in _bucket(races).rows}
     assert by_label["longshot"].absent
@@ -105,7 +112,7 @@ def test_conditional_cells_marked_absent_without_wins():
 
 
 def test_winner_odds_average_single_race():
-    races = rank_races([_race("r1", [2.0, 4.0, 8.0, 16.0, 19.0], 0)])
+    races = rank_races(Races.from_records([_race("r1", [2.0, 4.0, 8.0, 16.0, 19.0], 0)]))
     report = _bucket(races)
     empirical, theory = report.winner_odds, report.winner_segment
     assert empirical.value == pytest.approx(0.5)
