@@ -39,7 +39,7 @@ from .orderstats import (
     pooled_conditional_mean_given_win,
 )
 from .racedata import BucketSpec, FieldSizeBucket, RaceTable
-from .stats import EccdfCurve, empirical_survival
+from .stats import EccdfCurve, eccdf
 
 __all__ = [
     "RANK_SELECTORS",
@@ -204,11 +204,9 @@ def eccdf_per_rank(
     usable, picked, _ = _rank_rows(table, selector, True)
     if not usable.any():
         raise ValueError(f"empty selection: no races usable for rank {selector!r}")
-    values = table.implied_odds[picked]
-    xs = np.unique(values) if grid is None else np.sort(np.asarray(grid, dtype=float))
-    empirical = EccdfCurve(xs, empirical_survival(values, xs))
+    empirical = eccdf(table.implied_odds[picked], grid)
     hist = _theory_histogram(table.field_size[usable], theory_field_size)
-    theory = EccdfCurve(xs, mixture_ccdf(hist, selector, xs))
+    theory = EccdfCurve(empirical.x, mixture_ccdf(hist, selector, empirical.x))
     return empirical, theory
 
 

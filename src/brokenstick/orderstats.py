@@ -12,15 +12,15 @@ uniform random point] equals E[z_(k)^2] / E[z_(k)], and the mean length of
 the segment containing the point is 2 / (n + 1).
 
 The survival sum (Holst 1980; Feller vol. II, I.7) cancels terms up to ~3^n
-to a probability.  One kernel evaluates it over a whole grid in double
-precision with a rounding bound per point, and sums the points whose bound
-exceeds ``SURVIVAL_TOL`` = 1e-12 again exactly in integers: every survival
-value, for every n, is within 1e-12 of exact.
+to a probability, so it is never summed in floating point.  Between the kinks
+x = 1/m it is one polynomial of degree n-1 per panel, expanded about the
+midpoint of each piece in integers and rounded once; a piece is halved until
+evaluating it is certified within ``SURVIVAL_TOL`` = 1e-13.  Every survival
+value, for n up to ``SURVIVAL_MAX_N``, is one panel lookup and one polynomial.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -44,8 +44,15 @@ __all__ = [
     "winner_segment_mean",
 ]
 
-# Stated absolute accuracy of every survival value, for every n.
-SURVIVAL_TOL = 1e-12
+# Stated absolute accuracy of every survival value, for every n it accepts.
+SURVIVAL_TOL = 1e-13
+_EPS = 2.0**-52
+# A piece's bound is at least (n+1) eps |S_k| (see _build_panel), and S_k is
+# near 1 at small x: past this n, (2n+2) eps exceeds the tolerance.
+SURVIVAL_MAX_N = int(SURVIVAL_TOL / (2 * _EPS)) - 1
+# Panels kept built: all 11,480 of n <= 40 would take 6 MB; 2048 hold every
+# panel of n <= 20 in 1.4 MB.
+_PANELS = 2048
 
 
 def _check_field_size(n: int) -> None:
@@ -99,50 +106,57 @@ def winner_segment_mean(n: int) -> float:
     return 2.0 / (n + 1)
 
 
-@functools.lru_cache(maxsize=1024)
-def _terms(n: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Exact weights c_j = (-1)^(j-k) C(j-1, k-1) C(n, j), j = k..n, of the
-    at-least-k sum, and their float rows (c_j) and (|c_j|), read-only."""
-    coeffs = tuple((-1) ** (j - k) * math.comb(j - 1, k - 1) * math.comb(n, j) for j in range(k, n + 1))
-    try:
-        weights = np.array([coeffs, [abs(c) for c in coeffs]], dtype=float)
-    except OverflowError:  # n in the hundreds: NaN sums send every point to the exact sum
-        weights = np.full((2, len(coeffs)), np.inf)
-    weights.flags.writeable = False
-    return coeffs, weights
+def _shift(coeffs: list[int], u: int) -> list[int]:
+    """Coefficients of P(y + u) from those of P(y), ascending, in place."""
+    for q in range(len(coeffs) - 1):  # repeated synthetic division
+        for p in range(len(coeffs) - 2, q - 1, -1):
+            coeffs[p] += coeffs[p + 1] if u == 1 else u * coeffs[p + 1]
+    return coeffs
 
 
-def _survival_exact(n: int, k: int, x: float, coeffs: tuple[int, ...]) -> float:
-    # x = m / d, d a power of two: the sum is an integer over d^(n-1), and
-    # integer true division rounds it correctly.
-    m, d = x.as_integer_ratio()
-    total = 0
-    for j, c in enumerate(coeffs, start=k):
-        if d <= j * m:
-            break
-        total += c * (d - j * m) ** (n - 1)
-    return total / d ** (n - 1)
+def _build_panel(n: int, k: int, m: int) -> np.ndarray:
+    """S_k on panel m, [a0/d0, (a0+1)/d0] = [1/(m+1), 1/m] (m < n) or [0, 1/n].
+
+    Piece i after l halvings is [a/d, (a+1)/d], a = a0 2^l + i, d = d0 2^l; on it
+    S_k = sum_p a_p s^p, s = D x - (2a+1), D = 2d, each a_p an integer over D^(n-1)
+    rounded once by true division.  One row per piece, left to right: a_p, D,
+    2a+1 and a/d.
+    """
+    # D^(n-1) S_k = sum_p C(n-1, p) (-y)^p T_p D^(n-1-p) at y = D x, with T_p =
+    # sum_{j=k}^m c_j j^p, c_j = (-1)^(j-k) C(j-1, k-1) C(n, j); T_p = 0 for 0 < p
+    # <= n-k on the first panel, an n-th difference of a lower-degree polynomial.
+    a0, d0, low = (0, n, n - k + 1) if m == n else (m, m * (m + 1), 1)
+    sums = [0] * n
+    for j in range(k, m + 1):
+        sums[0] += (c := (-1) ** (j - k) * math.comb(j - 1, k - 1) * math.comb(n, j))
+        c *= j**low
+        for p in range(low, n):
+            sums[p] += c
+            c *= j
+    root = [(-1) ** p * math.comb(n - 1, p) * t * (2 * d0) ** (n - 1 - p) for p, t in enumerate(sums)]
+    leaves, stack = [], [(0, 0, _shift(root, 2 * a0 + 1))]
+    while stack:
+        level, index, piece = stack.pop()
+        scale = (d0 << (level + 1)) ** (n - 1)
+        row = [c / scale for c in piece]
+        # Summing a_p s^p, a_p rounded once and s^p by repeated products, errs by
+        # at most (2n-1)u sum|a_p| (u = eps/2, |s| <= 1) as Horner's rule would;
+        # s is off by at most (2a+3)u, moving it by that times sum p|a_p|.  As
+        # pieces shrink this tends to eps ((n+1) |S_k| + x |S_k'|) < tolerance.
+        a = (a0 << level) + index
+        if _EPS * (np.abs(row) @ (n + 1 + (a + 2) * np.arange(n))) <= SURVIVAL_TOL:
+            leaves.append(row + [2.0 * (d0 << level), 2.0 * a + 1, a / (d0 << level)])
+        else:  # halves: P((t + 1)/2), and P((t - 1)/2) = R(-t), R(t) = P(-(t + 1)/2)
+            half = [c << (n - 1 - p) for p, c in enumerate(piece)]  # over (2D)^(n-1)
+            odd = [-c if p % 2 else c for p, c in enumerate(half)]
+            left = [-c if p % 2 else c for p, c in enumerate(_shift(odd, 1))]
+            stack += [(level + 1, 2 * index + 1, _shift(half, 1)), (level + 1, 2 * index, left)]
+    return np.array(leaves)
 
 
-def _survival_float(n: int, k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The survival sum in double precision at points x in [0, 1/k], and its rounding bound."""
-    weights = _terms(n, k)[1]
-    j = np.arange(k, n + 1.0)
-    # Veltkamp split x = hi + lo, with hi short enough that j*hi and j*lo are
-    # exact products: 1 - j*hi is then exact where it cancels (Sterbenz), so
-    # each base 1 - j x is within 2u relative, u = eps/2, however far it cancels.
-    scaled = float(2 ** n.bit_length() + 1) * x
-    hi = scaled - (scaled - x)
-    lo = x - hi
-    base = np.maximum((1.0 - hi[:, None] * j) - lo[:, None] * j, 0.0)
-    # Rows are summed one by one along the fast axis: unlike a BLAS product,
-    # a point's value then does not depend on the rest of the grid.
-    with np.errstate(invalid="ignore"):
-        value, magnitude = ((base ** (n - 1))[:, None, :] * weights).sum(axis=2).T
-    # Bound relative to sum |c_j| kernel_j: 2(n-1)u base, 2u pow (1 ulp), 2u
-    # weight and product, (n-1)u sum: (3n+1)u to first order; (2n+4) eps =
-    # (4n+8)u leaves room for second-order terms and a pow within 4 ulp.
-    return value, (2 * n + 4) * 2.0**-52 * magnitude
+@functools.lru_cache(maxsize=_PANELS)
+def _panel(n: int, k: int, m: int) -> np.ndarray:
+    return _build_panel(n, k, m)
 
 
 def ccdf_kth_largest(n: int, k: int, x: float) -> float:
@@ -157,12 +171,11 @@ def ccdf_kth_largest(n: int, k: int, x: float) -> float:
 
 
 def ccdf_kth_largest_grid(n: int, k: int, xs: Sequence[float]) -> np.ndarray:
-    """``ccdf_kth_largest`` at every point of an array, in one kernel call.
-
-    Each value is within ``SURVIVAL_TOL`` of exact: the float sum stands where
-    its rounding bound allows, other points (NaN bounds too) are summed exactly.
-    """
+    """``ccdf_kth_largest`` at every point of an array, in one kernel call: a
+    panel lookup and a polynomial per point, each within ``SURVIVAL_TOL``."""
     _check_rank(n, k)
+    if n > SURVIVAL_MAX_N:
+        raise ValueError(f"survival is certified to {SURVIVAL_TOL:g} only for n <= {SURVIVAL_MAX_N}, got n={n}")
     n, k = int(n), int(k)
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
@@ -170,43 +183,42 @@ def ccdf_kth_largest_grid(n: int, k: int, xs: Sequence[float]) -> np.ndarray:
         raise ValueError("x must not be NaN")
     out = (flat <= 0.0).astype(float)
     inside = np.flatnonzero((flat > 0.0) & (k * flat < 1.0))
-    value, bound = _survival_float(n, k, flat[inside])
-    out[inside] = np.clip(value, 0.0, 1.0)
-    coeffs = _terms(n, k)[0]
-    for i in inside[~(bound <= SURVIVAL_TOL)]:
-        out[i] = _survival_exact(n, k, float(flat[i]), coeffs)
+    if not inside.size:
+        return out.reshape(xs.shape)
+    # Panel m counts the j with j x < 1 against the kinks 1/j as rounded, in
+    # [k, n].  Rounding moves x across a kink 1/j only within eps/2 of it, where
+    # the panels differ by |c_j (1 - j x)^(n-1)| <= eps/2 (n = 2), < 1e-28 (n > 2).
+    x = flat[inside]
+    m = np.maximum(n - np.searchsorted(1.0 / np.arange(n, 0, -1), x, side="right"), k)
+    # The pieces of the panels at hand, left to right; x takes the last one
+    # starting at or before it.  s = D x - (2a+1) is off by at most (2a+3)u: D x
+    # rounds once, and the subtraction is exact (Sterbenz) unless a = 0.
+    table = np.concatenate([_panel(n, k, panel) for panel in sorted(set(m.tolist()), reverse=True)])
+    rows = table[np.searchsorted(table[:, n + 2], x, side="right") - 1]
+    s = x * rows[:, n] - rows[:, n + 1]
+    out[inside] = (rows[:, :n] * np.vander(s, n, increasing=True)).sum(axis=1).clip(0.0, 1.0)
     return out.reshape(xs.shape)
 
 
-# Cut points of a multisection round: 64 pieces fix 6 bits of x per kernel call.
-_STEPS = np.arange(1, 64) / 64
+_STEPS = np.arange(1, 64) / 64  # a multisection round's cuts: 6 bits of x per kernel call
 
 
 def _inverse(n: int, k: int, levels: np.ndarray) -> np.ndarray:
     """Smallest x with P[z_(k) > x] <= p, for every level p in (0, 1) at once.
 
-    Brackets keep S(lo) > p >= S(hi), S as ``ccdf_kth_largest`` returns it,
-    and are all cut at ``_STEPS`` in one float kernel call a round until lo
-    and hi are adjacent floats.  A cut is judged by its float sum if that is
-    certified or clear of p by twice its bound; the few next to the crossing
-    are summed exactly, in a bisection over the cuts."""
-    coeffs = _terms(n, k)[0]
-    rows = np.arange(levels.size)
-    lo = np.zeros(levels.size)
-    hi = np.full(levels.size, 1.0 / k)
+    Brackets keep S(lo) > p >= S(hi), S as ``ccdf_kth_largest`` returns it, and
+    are all cut at ``_STEPS`` in one kernel call a round, around the first cut
+    with S <= p, until lo and hi are adjacent floats.  Where S is not monotone
+    at the ulp scale, hi is a crossing, not necessarily the smallest."""
+    rows, points = np.arange(levels.size), np.empty((levels.size, _STEPS.size + 2))  # lo, cuts, hi
+    points[:, 0], points[:, -1] = 0.0, 1.0 / k
+    lo, hi = points[:, :1], points[:, -1:]
     while np.any(np.nextafter(lo, hi) < hi):
-        inner = np.minimum(lo[:, None] + (hi - lo)[:, None] * _STEPS, hi[:, None])
-        value, bound = (a.reshape(inner.shape) for a in _survival_float(n, k, inner.ravel()))
-        gap = value - levels[:, None]
-        # +1 surely above p, -1 surely at or below it, 0 too close to call
-        side = np.where((bound <= SURVIVAL_TOL) | (np.abs(gap) > 2.0 * bound), np.where(gap > 0.0, 1, -1), 0)
-        first = np.cumprod(side > 0, axis=1).sum(axis=1)
-        for r in np.flatnonzero(first < _STEPS.size):  # bisect past points too close to call
-            first[r] = bisect.bisect_left(range(_STEPS.size), True, lo=first[r], key=lambda i: (
-                side[r, i] < 0 if side[r, i] else _survival_exact(n, k, float(inner[r, i]), coeffs) <= levels[r]))
-        points = np.column_stack([lo, inner, hi])
-        lo, hi = points[rows, first], points[rows, first + 1]
-    return hi
+        points[:, 1:-1] = np.minimum(lo + (hi - lo) * _STEPS, hi)
+        above = ccdf_kth_largest_grid(n, k, points[:, 1:-1]) > levels[:, None]
+        first = np.cumprod(above, axis=1).sum(axis=1)
+        points[:, 0], points[:, -1] = points[rows, first], points[rows, first + 1]
+    return points[:, -1].copy()
 
 
 def quantile_grid(n: int, k: int, count: int = 20) -> np.ndarray:
@@ -237,53 +249,36 @@ def ccdf_inverse(n: int, k: int, p: float) -> float:
 
 
 class SegmentLaw:
-    """All order-statistic quantities for a fixed number of segments n.
+    """The closed forms above for a fixed number of segments n.
 
-    Precomputes the harmonic tails once so per-rank lookups are O(1).
     Instances are immutable and safe to share across threads.
     """
 
     def __init__(self, n: int):
         _check_field_size(n)
         self.n = int(n)
-        means = np.empty(self.n)
-        second = np.empty(self.n)
-        h = 0.0
-        acc = 0.0
-        for j in range(self.n, 0, -1):
-            h += 1.0 / j
-            acc += h / j
-            means[j - 1] = h / self.n
-            second[j - 1] = 2.0 * acc / (self.n * (self.n + 1))
-        self._means = means
-        self._second = second
-
-    def _rank_index(self, k: int) -> int:
-        _check_rank(self.n, k)
-        return int(k) - 1
 
     def mean(self, k: int) -> float:
-        return float(self._means[self._rank_index(k)])
+        return mean_kth_largest(self.n, k)
 
     def second_moment(self, k: int) -> float:
-        return float(self._second[self._rank_index(k)])
+        return second_moment_kth_largest(self.n, k)
 
     def conditional_mean_given_win(self, k: int) -> float:
-        i = self._rank_index(k)
-        return float(self._second[i] / self._means[i])
+        return conditional_mean_given_win(self.n, k)
 
     def ccdf(self, k: int, x: float) -> float:
         return ccdf_kth_largest(self.n, k, x)
 
     def winner_segment_mean(self) -> float:
-        return 2.0 / (self.n + 1)
+        return winner_segment_mean(self.n)
 
     def means(self) -> np.ndarray:
-        """Expected lengths for ranks 1..n (copy)."""
-        return self._means.copy()
+        """Expected lengths for ranks 1..n."""
+        return np.array([mean_kth_largest(self.n, k) for k in range(1, self.n + 1)])
 
     def second_moments(self) -> np.ndarray:
-        return self._second.copy()
+        return np.array([second_moment_kth_largest(self.n, k) for k in range(1, self.n + 1)])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SegmentLaw(n={self.n})"

@@ -2,12 +2,13 @@
 
 The survival function of the k-th largest segment is a polynomial of degree
 n-1 on each panel between its kinks, the points x = 1/m (m = k..n) where a
-positive-part kernel switches off.  Gauss-Legendre with floor((n+p)/2)+1
-nodes per panel integrates x^p times that polynomial exactly, so the only
-error is the rounding of the survival values (within
-``orderstats.SURVIVAL_TOL`` each) and of the weighted sum.  All nodes go
-through one survival-kernel call.  These integrals provide an independent
-cross-check of the closed-form harmonic moments:
+positive-part kernel switches off; the survival kernel evaluates exactly those
+panel polynomials.  Gauss-Legendre with floor((n+p)/2)+1 nodes per panel
+integrates x^p times that polynomial exactly, so the only error is the
+rounding of the survival values (within ``orderstats.SURVIVAL_TOL`` = 1e-13
+each) and of the weighted sum.  All nodes go through one survival-kernel call.
+These integrals cross-check the panel polynomials against the closed-form
+harmonic moments, which they do not share any code with:
 
     E[z_(k)]   = integral of   P[z_(k) > x]       over [0, 1/k]
     E[z_(k)^2] = integral of 2 x P[z_(k) > x]     over [0, 1/k]

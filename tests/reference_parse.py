@@ -38,7 +38,9 @@ def race_invariant_violation(
         return "dead heat"
     if winners == 0:
         return "no winner"
-    total = record.implied_odds_sum()
+    total = 0.0
+    for entry in record.entries:  # left to right, as ``sum`` does only before Python 3.12
+        total += 1.0 / entry.decimal_odds
     if not (1.0 - overround_delta <= total <= 1.0 + overround_delta):
         return "overround out of band"
     return None

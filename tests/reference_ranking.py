@@ -1,9 +1,9 @@
 """Per-race ranking oracle for the columnar ``RaceTable``.
 
 The plain way to rank one race: reciprocal decimal odds, optionally divided
-by their ``sum``, sorted by (-implied odds, horse id) with Python's stable
-sort, and ties counted between adjacent equal odds.  ``rank_races`` must
-agree with it bit for bit.
+by their sum added left to right, sorted by (-implied odds, horse id) with
+Python's stable sort, and ties counted between adjacent equal odds.
+``rank_races`` must agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ def rank_race(record, renormalize: bool = False):
     """(horse ids, implied odds, winner rank, tie count), favourite first."""
     implied = [(1.0 / e.decimal_odds, e) for e in record.entries]
     if renormalize:
-        total = sum(q for q, _ in implied)
+        total = 0.0
+        for q, _ in implied:  # left to right, as ``sum`` does only before Python 3.12
+            total += q
         implied = [(q / total, e) for q, e in implied]
     implied.sort(key=lambda pair: (-pair[0], pair[1].horse_id))
     ties = sum(1 for (qa, _), (qb, _) in zip(implied, implied[1:]) if qa == qb)

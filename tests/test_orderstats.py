@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from brokenstick import orderstats
 from brokenstick.orderstats import (
+    SURVIVAL_MAX_N,
     SURVIVAL_TOL,
     FieldSizeHistogram,
     SegmentLaw,
@@ -183,16 +185,10 @@ def test_ccdf_certified_by_exact_rational_evaluation():
                 )
 
 
-def test_ccdf_certified_to_stated_tolerance_up_to_n40(monkeypatch):
+def test_ccdf_certified_to_stated_tolerance_up_to_n40():
     # every value within SURVIVAL_TOL of exact, from the scalar call and the
-    # grid call alike, on points of both the float sum and the exact fallback
-    exact_calls = []
-    exact_sum = orderstats._survival_exact
-    monkeypatch.setattr(
-        orderstats, "_survival_exact", lambda *args: exact_calls.append(args) or exact_sum(*args)
-    )
+    # grid call alike
     rng = np.random.default_rng(2024)
-    points = 0
     for n in range(1, 41):
         for k in range(1, n + 1):
             xs = np.concatenate([rng.random(2) / k, rng.random(1) / (4 * k), [1.0 / (k + 0.5)]])
@@ -201,9 +197,63 @@ def test_ccdf_certified_to_stated_tolerance_up_to_n40(monkeypatch):
                 exact = ccdf_compact_exact(n, k, x)
                 assert abs(Fraction(from_grid) - exact) <= SURVIVAL_TOL, (n, k, x)
                 assert abs(Fraction(ccdf_kth_largest(n, k, x)) - exact) <= SURVIVAL_TOL, (n, k, x)
-            points += xs.size
-    # both paths were exercised: some points, but far from all, summed exactly
-    assert 0 < len(exact_calls) < points
+
+
+@pytest.mark.parametrize("n,k", [(64, 32), (100, 50), (100, 100)])
+def test_ccdf_certified_at_sampled_ranks_past_n40(n, k):
+    rng = np.random.default_rng(n + k)
+    xs = np.concatenate([rng.random(6) / k, rng.random(4) / n, [0.5 / n, 0.99 / n]])
+    for x, value in zip(xs.tolist(), ccdf_kth_largest_grid(n, k, xs).tolist()):
+        assert abs(Fraction(value) - ccdf_compact_exact(n, k, x)) <= SURVIVAL_TOL, x
+
+
+def test_wide_first_panel_is_halved():
+    # [0, 1/n] is far wider than the panels beside it: middle ranks need it halved
+    assert len(orderstats._panel(64, 32, 64)) > 1
+    assert len(orderstats._panel(100, 50, 100)) > 1
+    assert len(orderstats._panel(100, 50, 99)) == 1
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (16, 4), (40, 10), (64, 32)])
+def test_one_ulp_either_side_of_every_kink(n, k):
+    # a point rounded onto the other side of a kink 1/j stays within tolerance,
+    # and the scalar call gives the grid's bits there
+    kinks = 1.0 / np.arange(k, n + 1)
+    xs = np.concatenate([np.nextafter(kinks, 0.0), kinks, np.nextafter(kinks, 1.0)])
+    grid = ccdf_kth_largest_grid(n, k, xs)
+    for x, value in zip(xs.tolist(), grid.tolist()):
+        assert ccdf_kth_largest(n, k, x).hex() == value.hex(), x
+        assert abs(Fraction(value) - ccdf_compact_exact(n, k, x)) <= SURVIVAL_TOL, x
+
+
+def test_field_size_past_certified_limit_raises():
+    assert ccdf_kth_largest(SURVIVAL_MAX_N, 1, 0.5 / SURVIVAL_MAX_N) == 1.0
+    for call in (lambda: ccdf_kth_largest(SURVIVAL_MAX_N + 1, 1, 0.001),
+                 lambda: ccdf_inverse(SURVIVAL_MAX_N + 1, 2, 0.5),
+                 lambda: mixture_ccdf(FieldSizeHistogram({5: 1, SURVIVAL_MAX_N + 1: 1}), 1, [0.1])):
+        with pytest.raises(ValueError, match=f"n <= {SURVIVAL_MAX_N}"):
+            call()
+    # moments have no cancellation and no limit
+    assert mean_kth_largest(SURVIVAL_MAX_N + 1, 1) > 0.0
+
+
+def test_kernel_cache_memory_is_bounded(monkeypatch):
+    # Every panel of every (n, k) up to n = 40 is built once untraced; under
+    # tracemalloc the cache is then offered fresh copies of them all.
+    built = {(n, k, m): orderstats._build_panel(n, k, m)
+             for n in range(1, 41) for k in range(1, n + 1) for m in range(k, n + 1)}
+    monkeypatch.setattr(orderstats, "_build_panel", lambda n, k, m: built[n, k, m].copy())
+    orderstats._panel.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n, k, m in built:
+            orderstats._panel(n, k, m)
+        footprint = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        orderstats._panel.cache_clear()
+    assert footprint < 3_000_000
 
 
 @pytest.mark.parametrize(
@@ -242,8 +292,8 @@ def test_survival_summed_over_ranks_counts_long_segments(n):
 
 
 def test_ccdf_extended_precision_path():
-    # large n, where most of the float sum cancels past the tolerance and
-    # the exact integer sum takes over
+    # large n, where the inclusion-exclusion sum cancels far past double
+    # precision: the panel polynomials never form it
     rng = np.random.default_rng(7)
     for n in (25, 40, 64):
         for k in (1, 2, n // 2, n - 1, n):

@@ -39,7 +39,7 @@ def test_known_closed_forms_at_n2():
 
 
 def test_extends_past_double_precision_limit():
-    # n where many of the integrand's survival values take the exact sum
+    # n where the survival sum cancels past double precision at many nodes
     n = 24
     assert mean_via_quadrature(n, 2) == pytest.approx(mean_kth_largest(n, 2), abs=SURVIVAL_TOL)
 
