@@ -24,6 +24,7 @@ conditioned empirical column estimates.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -256,32 +257,22 @@ def _rounded(value: float | None, digits: int) -> float | None:
 
 
 def report_cells(report: AnalysisReport, digits: int = 6) -> dict[tuple[str, str, str], Cell]:
-    """Flatten a report into {(bucket, rank, statistic): Cell} with rounded values."""
+    """Flatten a report into {(bucket, rank, statistic): Cell} with rounded values.
+
+    The one walk of a report: both writers read it, ``cells_from_json`` inverts it.
+    """
     cells: dict[tuple[str, str, str], Cell] = {}
     for bucket_report in report.buckets:
         name = bucket_report.bucket.name
         for row in bucket_report.rows:
             for attr, statistic in _ROW_STATISTICS:
-                cell: Cell = getattr(row, attr)
-                cells[(name, row.label, statistic)] = Cell(
-                    _rounded(cell.value, digits),
-                    _rounded(cell.se, digits),
-                    cell.count,
-                    cell.note,
-                )
-        cells[(name, "winner", "winner_odds_mean")] = Cell(
-            _rounded(bucket_report.winner_odds.value, digits),
-            _rounded(bucket_report.winner_odds.se, digits),
-            bucket_report.winner_odds.count,
-            bucket_report.winner_odds.note,
-        )
-        cells[(name, "winner", "winner_segment_mean_theory")] = Cell(
-            _rounded(bucket_report.winner_segment.value, digits),
-            None,
-            bucket_report.winner_segment.count,
-            bucket_report.winner_segment.note,
-        )
-    return cells
+                cells[(name, row.label, statistic)] = getattr(row, attr)
+        cells[(name, "winner", "winner_odds_mean")] = bucket_report.winner_odds
+        cells[(name, "winner", "winner_segment_mean_theory")] = bucket_report.winner_segment
+    return {
+        key: Cell(_rounded(cell.value, digits), _rounded(cell.se, digits), cell.count, cell.note)
+        for key, cell in cells.items()
+    }
 
 
 def report_to_csv_text(report: AnalysisReport, digits: int = 6) -> str:
@@ -305,15 +296,16 @@ def report_to_csv_text(report: AnalysisReport, digits: int = 6) -> str:
 
 
 def report_to_json_text(report: AnalysisReport, digits: int = 6) -> str:
-    """Structured JSON document carrying the same values as the CSV."""
-    payload = {
-        "min_field_size": report.min_field_size,
-        "renormalized": report.renormalized,
-        "buckets": [],
-    }
+    """Structured JSON document: ``report_cells`` grouped by bucket and rank."""
+    groups: dict[str, dict[str, dict]] = {}
+    for (bucket, rank, statistic), cell in report_cells(report, digits).items():
+        groups.setdefault(bucket, {}).setdefault(rank, {})[statistic] = dataclasses.asdict(cell)
+    buckets = []
     for bucket_report in report.buckets:
         bucket = bucket_report.bucket
-        entry = {
+        ranks = groups[bucket.name]
+        winner = ranks.pop("winner")
+        buckets.append({
             "name": bucket.name,
             "lo": bucket.lo,
             "hi": bucket.hi,
@@ -322,49 +314,41 @@ def report_to_json_text(report: AnalysisReport, digits: int = 6) -> str:
             "field_size_counts": {
                 str(n): c for n, c in sorted(bucket_report.histogram.counts.items())
             },
-            "ranks": [],
-            "winner": {
-                "winner_odds_mean": _cell_json(bucket_report.winner_odds, digits),
-                "winner_segment_mean_theory": _cell_json(bucket_report.winner_segment, digits),
-            },
-        }
-        for row in bucket_report.rows:
-            entry["ranks"].append(
-                {
-                    "rank": row.label,
-                    "statistics": {
-                        statistic: _cell_json(getattr(row, attr), digits)
-                        for attr, statistic in _ROW_STATISTICS
-                    },
-                }
-            )
-        payload["buckets"].append(entry)
+            "ranks": [{"rank": rank, "statistics": stats} for rank, stats in ranks.items()],
+            "winner": winner,
+        })
+    payload = {
+        "min_field_size": report.min_field_size,
+        "renormalized": report.renormalized,
+        "buckets": buckets,
+    }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cell_json(cell: Cell, digits: int) -> dict:
-    return {
-        "value": _rounded(cell.value, digits),
-        "se": _rounded(cell.se, digits),
-        "count": cell.count,
-        "note": cell.note,
-    }
+def cells_from_json(payload) -> dict[tuple[str, str, str], Cell]:
+    """Invert ``report_to_json_text``: the {(bucket, rank, statistic): Cell} map.
 
+    A document that is not a report raises ``ValueError`` naming a field it
+    lacks or holds in the wrong shape.
+    """
 
-def cells_from_json(payload: dict) -> dict[tuple[str, str, str], Cell]:
-    """Rebuild the {(bucket, rank, statistic): Cell} map from a JSON report."""
+    def field(document, key: str, kind: type = object):
+        if not isinstance(document, dict) or key not in document:
+            raise ValueError(f"not a report: missing {key!r}")
+        if not isinstance(document[key], kind):
+            raise ValueError(f"not a report: {key!r} is not a {kind.__name__}")
+        return document[key]
+
     cells: dict[tuple[str, str, str], Cell] = {}
-    for bucket in payload["buckets"]:
-        name = bucket["name"]
-        for row in bucket["ranks"]:
-            for statistic, raw in row["statistics"].items():
-                cells[(name, row["rank"], statistic)] = Cell(
-                    raw["value"], raw["se"], raw["count"], raw.get("note", "")
+    for bucket in field(payload, "buckets", list):
+        name = field(bucket, "name")
+        groups = [(field(row, "rank"), field(row, "statistics", dict))
+                  for row in field(bucket, "ranks", list)]
+        for rank, statistics in groups + [("winner", field(bucket, "winner", dict))]:
+            for statistic, raw in statistics.items():
+                cells[(name, rank, statistic)] = Cell(
+                    field(raw, "value"), field(raw, "se"), field(raw, "count"), raw.get("note", "")
                 )
-        for statistic, raw in bucket["winner"].items():
-            cells[(name, "winner", statistic)] = Cell(
-                raw["value"], raw["se"], raw["count"], raw.get("note", "")
-            )
     return cells
 
 

@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, montecarlo, orderstats, racedata, synth
 
 EXIT_OK = 0
@@ -34,20 +32,6 @@ ENV_SEED = "BROKENSTICK_SEED"
 ENV_SAMPLES = "BROKENSTICK_SAMPLES"
 
 DEFAULT_SAMPLES = 100_000
-
-_STAT_CHOICES = ("mean", "second-moment", "cond-mean", "winner-mean", "ccdf")
-
-_CLOSED_FORMS = {
-    "mean": orderstats.mean_kth_largest,
-    "second-moment": orderstats.second_moment_kth_largest,
-    "cond-mean": orderstats.conditional_mean_given_win,
-}
-_MIXTURE_KEYS = {
-    "mean": "mean",
-    "second-moment": "second_moment",
-    "cond-mean": "conditional_mean_given_win",
-    "winner-mean": "winner_segment_mean",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,57 +128,77 @@ def _write_output(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-# --- theory ----------------------------------------------------------------
+# --- theory and simulate ----------------------------------------------------
+
+
+def _cond_mean_estimate(n, k, xs, config, workers):
+    stats = montecarlo.estimate_winner_stats(n, config, workers)
+    if not stats.win_counts[k - 1]:
+        raise ValueError(f"rank {k} never won in {config.samples} races; raise --samples")
+    return [montecarlo.McEstimate(
+        float(stats.conditional_mean[k - 1]), float(stats.conditional_se[k - 1]),
+        int(stats.win_counts[k - 1]),
+    )]
+
+
+def _ccdf_estimate(n, k, xs, config, workers):
+    p, se = montecarlo.estimate_ccdf(n, k, xs, config, workers)
+    return [montecarlo.McEstimate(float(v), float(s), config.samples) for v, s in zip(p, se)]
+
+
+# Each --stat: its exact values over a field-size histogram at rank k (and,
+# for ccdf, at the points xs), from the mixtures ``analyze`` reports, so one
+# field size is a histogram of one n; and its Monte Carlo estimates at one n.
+_STATISTICS = {
+    "mean": (
+        lambda hist, k, xs: [orderstats.mixture(hist, "mean", k=k)],
+        lambda n, k, xs, config, workers: [montecarlo.estimate_mean(n, k, config, workers)],
+    ),
+    "second-moment": (
+        lambda hist, k, xs: [orderstats.mixture(hist, "second_moment", k=k)],
+        lambda n, k, xs, config, workers: [montecarlo.estimate_second_moment(n, k, config, workers)],
+    ),
+    "cond-mean": (
+        lambda hist, k, xs: [orderstats.pooled_conditional_mean_given_win(hist, k)],
+        _cond_mean_estimate,
+    ),
+    "winner-mean": (
+        lambda hist, k, xs: [orderstats.mixture(hist, "winner_segment_mean")],
+        lambda n, k, xs, config, workers: [montecarlo.estimate_winner_stats(n, config, workers).winner_mean],
+    ),
+    "ccdf": (lambda hist, k, xs: orderstats.mixture_ccdf(hist, k, xs).tolist(), _ccdf_estimate),
+}
+
+
+def _exact_rows(args, hist, ranks) -> list[tuple]:
+    """(k, x, value) rows of ``args.stat`` over ``hist``, one per rank; for ccdf,
+    one per point of ``--x`` (or of a quantile grid at ``--n``), sorted.
+    winner-mean takes no rank."""
+    if args.stat == "winner-mean":
+        ranks = [None]
+    elif None in ranks:
+        raise ValueError(f"statistic {args.stat!r} needs a rank: pass --k")
+    if args.stat != "ccdf":
+        xs = [None]
+    elif args.x:
+        xs = sorted(args.x)
+    elif args.n:
+        (k,) = ranks
+        xs = orderstats.quantile_grid(args.n, args.n if k == "longshot" else k, args.grid).tolist()
+    else:
+        raise ValueError("ccdf over a histogram needs explicit --x points")
+    exact = _STATISTICS[args.stat][0]
+    return [(k, x, value) for k in ranks for x, value in zip(xs, exact(hist, k, xs))]
 
 
 def cmd_theory(args) -> int:
-    hist = _load_histogram(args.hist) if args.hist else None
-    rows: list[dict] = []
-
-    if args.stat == "winner-mean":
-        if hist is not None:
-            value = orderstats.mixture(hist, "winner_segment_mean")
-            rows.append({"n": "mixture", "k": "", "statistic": args.stat, "value": value})
-        else:
-            rows.append(
-                {"n": args.n, "k": "", "statistic": args.stat,
-                 "value": orderstats.winner_segment_mean(args.n)}
-            )
-    elif args.stat == "ccdf":
-        if hist is not None:
-            if not args.x:
-                raise ValueError("ccdf over a histogram needs explicit --x points")
-            if args.k is None:
-                raise ValueError("ccdf needs a rank: pass --k")
-            for x in args.x:
-                rows.append(
-                    {"n": "mixture", "k": args.k, "statistic": "ccdf", "x": x,
-                     "value": orderstats.mixture(hist, "ccdf", k=args.k, x=x)}
-                )
-        else:
-            if args.k is None or args.k == "longshot":
-                raise ValueError("ccdf for a single field size needs an integer --k")
-            xs = args.x or orderstats.quantile_grid(args.n, args.k, args.grid).tolist()
-            for x in sorted(xs):
-                rows.append(
-                    {"n": args.n, "k": args.k, "statistic": "ccdf", "x": x,
-                     "value": orderstats.ccdf_kth_largest(args.n, args.k, x)}
-                )
-    else:
-        if hist is not None:
-            if args.k is None:
-                raise ValueError(f"statistic {args.stat!r} over a histogram needs --k")
-            value = orderstats.mixture(hist, _MIXTURE_KEYS[args.stat], k=args.k)
-            rows.append({"n": "mixture", "k": args.k, "statistic": args.stat, "value": value})
-        else:
-            fn = _CLOSED_FORMS[args.stat]
-            ks = [args.k] if args.k is not None else list(range(1, args.n + 1))
-            for k in ks:
-                rank = args.n if k == "longshot" else k
-                rows.append(
-                    {"n": args.n, "k": k, "statistic": args.stat, "value": fn(args.n, rank)}
-                )
-
+    hist = _load_histogram(args.hist) if args.hist else orderstats.FieldSizeHistogram({args.n: 1})
+    all_ranks = args.k is None and args.n and args.stat != "ccdf"
+    rows = [
+        {"n": "mixture" if args.hist else args.n, "k": "" if k is None else k,
+         "statistic": args.stat, "x": x, "value": value}
+        for k, x, value in _exact_rows(args, hist, range(1, args.n + 1) if all_ranks else [args.k])
+    ]
     columns = ["n", "k", "statistic", "x", "value"] if args.stat == "ccdf" else ["n", "k", "statistic", "value"]
     if len(rows) == 1 and args.format == "text" and not args.output:
         sys.stdout.write(_fmt(rows[0]["value"], args.digits) + "\n")
@@ -203,59 +207,21 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
-# --- simulate ----------------------------------------------------------------
-
-
 def cmd_simulate(args) -> int:
     samples = args.samples if args.samples is not None else _env_int(ENV_SAMPLES, DEFAULT_SAMPLES)
     seed = args.seed if args.seed is not None else _env_int(ENV_SEED, 0)
     config = montecarlo.SimConfig(
         samples=samples, seed=seed, construction=args.construction, chunk_size=args.chunk_size
     )
-    n = args.n
-    if args.k == "longshot":
-        args.k = n
-    rows: list[dict] = []
-
-    def add(statistic, k, x, estimate: montecarlo.McEstimate, exact):
-        rows.append(
-            {"statistic": statistic, "n": n, "k": k, "x": x, "estimate": estimate.value,
-             "se": estimate.se, "exact": exact, "gap_se": estimate.gap_in_se(exact)}
-        )
-
-    if args.stat in ("mean", "second-moment"):
-        if args.k is None:
-            raise ValueError(f"statistic {args.stat!r} needs an integer --k")
-        est = (
-            montecarlo.estimate_mean(n, args.k, config, args.workers)
-            if args.stat == "mean"
-            else montecarlo.estimate_second_moment(n, args.k, config, args.workers)
-        )
-        add(args.stat, args.k, None, est, _CLOSED_FORMS[args.stat](n, args.k))
-    elif args.stat == "cond-mean":
-        if args.k is None:
-            raise ValueError("statistic 'cond-mean' needs an integer --k")
-        stats = montecarlo.estimate_winner_stats(n, config, args.workers)
-        value = float(stats.conditional_mean[args.k - 1])
-        if np.isnan(value):
-            raise ValueError(f"rank {args.k} never won in {samples} races; raise --samples")
-        est = montecarlo.McEstimate(
-            value, float(stats.conditional_se[args.k - 1]), int(stats.win_counts[args.k - 1])
-        )
-        add("cond-mean", args.k, None, est, orderstats.conditional_mean_given_win(n, args.k))
-    elif args.stat == "winner-mean":
-        stats = montecarlo.estimate_winner_stats(n, config, args.workers)
-        add("winner-mean", None, None, stats.winner_mean, orderstats.winner_segment_mean(n))
-    else:  # ccdf
-        if args.k is None:
-            raise ValueError("statistic 'ccdf' needs an integer --k")
-        xs = args.x or orderstats.quantile_grid(n, args.k, args.grid).tolist()
-        xs = sorted(xs)
-        estimates, ses = montecarlo.estimate_ccdf(n, args.k, xs, config, args.workers)
-        for x, est, se in zip(xs, estimates, ses):
-            add("ccdf", args.k, x, montecarlo.McEstimate(float(est), float(se), samples),
-                orderstats.ccdf_kth_largest(n, args.k, x))
-
+    n, k = args.n, args.n if args.k == "longshot" else args.k
+    # the exact column first: a bad rank fails before any sampling
+    exact = _exact_rows(args, orderstats.FieldSizeHistogram({n: 1}), [k])
+    estimates = _STATISTICS[args.stat][1](n, k, [x for _, x, _ in exact], config, args.workers)
+    rows = [
+        {"statistic": args.stat, "n": n, "k": k, "x": x, "estimate": est.value,
+         "se": est.se, "exact": value, "gap_se": est.gap_in_se(value)}
+        for (k, x, value), est in zip(exact, estimates)
+    ]
     columns = ["statistic", "n", "k", "x", "estimate", "se", "exact", "gap_se"]
     _emit_rows(rows, columns, args)
     worst = max(r["gap_se"] for r in rows)
@@ -413,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, help="field size")
     group.add_argument("--hist", help="field-size histogram CSV (n,count) for mixtures")
     p.add_argument("--k", type=_parse_selector, help="rank (1=favourite) or 'longshot'")
-    p.add_argument("--stat", choices=_STAT_CHOICES, required=True)
+    p.add_argument("--stat", choices=_STATISTICS, required=True)
     p.add_argument("--x", type=_parse_floats, action="extend",
                    help="comma-separated ccdf evaluation points; may repeat")
     p.add_argument("--grid", type=int, default=20, help="quantile grid size for ccdf")
@@ -423,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo vs closed form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=_parse_selector)
-    p.add_argument("--stat", choices=_STAT_CHOICES, required=True)
+    p.add_argument("--stat", choices=_STATISTICS, required=True)
     p.add_argument("--samples", type=int, help=f"default ${ENV_SAMPLES} or {DEFAULT_SAMPLES}")
     p.add_argument("--seed", type=int, help=f"default ${ENV_SEED} or 0")
     p.add_argument("--construction", choices=montecarlo.CONSTRUCTIONS, default="uniform-cuts")

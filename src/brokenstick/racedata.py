@@ -24,6 +24,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .orderstats import SURVIVAL_MAX_N
+
 __all__ = [
     "CSV_COLUMNS",
     "DEFAULT_OVERROUND_DELTA",
@@ -48,7 +50,8 @@ CSV_COLUMNS = ("race_id", "horse_id", "decimal_odds", "won")
 DEFAULT_OVERROUND_DELTA = 0.10
 
 # What a race must pass, in the order checked: a race failing several is
-# rejected for the first.
+# rejected for the first.  The last keeps every field size within the one the
+# survival kernel is certified for.
 INVARIANTS = (
     "fewer than 2 entries",
     "duplicate horse id",
@@ -56,6 +59,7 @@ INVARIANTS = (
     "dead heat",
     "no winner",
     "overround out of band",
+    f"more than {SURVIVAL_MAX_N} entries",
 )
 
 
@@ -198,6 +202,7 @@ def _first_failed_invariant(race, sizes, horse, won, odds, overround_delta) -> n
         winners > 1,
         winners == 0,
         ~((1.0 - overround_delta <= total) & (total <= 1.0 + overround_delta)),
+        sizes > SURVIVAL_MAX_N,
     )
     return np.select(failed, np.arange(1, len(INVARIANTS) + 1), 0)
 

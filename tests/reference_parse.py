@@ -19,6 +19,7 @@ from brokenstick.racedata import (
     Rejection,
     _open_source,
 )
+from brokenstick.orderstats import SURVIVAL_MAX_N
 
 
 def race_invariant_violation(
@@ -43,6 +44,8 @@ def race_invariant_violation(
         total += 1.0 / entry.decimal_odds
     if not (1.0 - overround_delta <= total <= 1.0 + overround_delta):
         return "overround out of band"
+    if record.field_size > SURVIVAL_MAX_N:
+        return f"more than {SURVIVAL_MAX_N} entries"
     return None
 
 

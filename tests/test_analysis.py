@@ -162,6 +162,21 @@ def test_report_cells_round_trip_through_json():
     assert direct == via_json
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [([], "missing 'buckets'"),
+     ({"buckets": 5}, "'buckets' is not a list"),
+     ({"buckets": [{"name": "all", "ranks": []}]}, "missing 'winner'"),
+     ({"buckets": [{"name": "all", "ranks": [{"rank": "1", "statistics": []}]}]},
+      "'statistics' is not a dict"),
+     ({"buckets": [{"name": "all", "ranks": [], "winner": {"winner_odds_mean": {}}}]},
+      "missing 'value'")],
+)
+def test_cells_from_json_names_what_a_non_report_lacks(document, message):
+    with pytest.raises(ValueError, match=f"^not a report: {message}$"):
+        cells_from_json(document)
+
+
 def test_min_field_size_drops_races():
     races = _synthetic_races(20, [4, 9] * 10, seed=2)
     report = build_report(races, min_field_size=5)

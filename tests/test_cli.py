@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from brokenstick import montecarlo
 from brokenstick.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -67,7 +68,48 @@ class TestTheory:
     def test_invalid_rank(self, capsys):
         code, _, err = run(capsys, "theory", "--n", "3", "--k", "9", "--stat", "mean")
         assert code == EXIT_USAGE
-        assert "error" in err
+        assert err.startswith("error: rank k=9 exceeds field size n=3")
+
+    def test_single_field_size_ccdf_takes_longshot(self, capsys):
+        common = ("theory", "--n", "5", "--stat", "ccdf", "--format", "csv")
+        for points in ((), ("--x", "0.3,0.01,0.2")):
+            code, longshot, _ = run(capsys, *common, *points, "--k", "longshot")
+            assert code == EXIT_OK
+            rank_n = run(capsys, *common, *points, "--k", "5")[1]
+            assert longshot == rank_n.replace("\n5,5,", "\n5,longshot,")
+
+    def test_histogram_ccdf_rows_sorted_by_x(self, capsys, tmp_path):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("n,count\n5,2\n8,1\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "theory", "--hist", str(hist), "--k", "2", "--stat", "ccdf",
+            "--x", "0.3,0.01,0.2", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["0.01", "0.2", "0.3"]
+
+    def test_histogram_values_are_the_report_theory(self, capsys, tmp_path):
+        # theory over bucket all's field sizes prints report.json's theory cells;
+        # cond-mean is the pooled ratio, not the average of per-n values
+        races, outdir, hist = tmp_path / "races.csv", tmp_path / "out", tmp_path / "hist.csv"
+        run(capsys, "synth", "--races", "3000", "--n-min", "5", "--n-max", "12",
+            "--seed", "7", "--output", str(races))
+        assert run(capsys, "analyze", "--input", str(races), "--output-dir", str(outdir))[0] == EXIT_OK
+        bucket = json.loads((outdir / "report.json").read_text())["buckets"][0]
+        assert bucket["name"] == "all"
+        hist.write_text("".join(f"{n},{c}\n" for n, c in bucket["field_size_counts"].items()))
+        theory = {}
+        for row in bucket["ranks"]:
+            for stat, column in (("mean", "segment_mean_theory"),
+                                 ("cond-mean", "segment_mean_given_win_theory")):
+                code, out, _ = run(capsys, "theory", "--hist", str(hist), "--k", row["rank"],
+                                   "--stat", stat)
+                assert code == EXIT_OK
+                assert float(out) == row["statistics"][column]["value"]
+                theory[row["rank"], stat] = out.strip()
+        code, out, _ = run(capsys, "theory", "--hist", str(hist), "--stat", "winner-mean")
+        assert float(out) == bucket["winner"]["winner_segment_mean_theory"]["value"]
+        assert theory["longshot", "cond-mean"] == "0.0410386"
 
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "theory", "--stat", "mean")
@@ -130,6 +172,24 @@ class TestSimulate:
         rank_n = run(capsys, "simulate", "--n", "4", "--k", "4", *common)
         assert longshot[0] == EXIT_OK
         assert longshot == rank_n
+
+    @pytest.mark.parametrize("stat", ["mean", "second-moment", "cond-mean", "ccdf"])
+    @pytest.mark.parametrize("points", [(), ("--x", "0.1")], ids=["grid", "x"])
+    def test_bad_rank_fails_before_sampling(self, capsys, monkeypatch, stat, points):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before the rank was checked")
+
+        monkeypatch.setattr(montecarlo, "sample_divisions", sample)
+        code, out, err = run(capsys, "simulate", "--n", "3", "--k", "5", "--stat", stat, *points)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: rank k=5 ") and "field size n=3" in err
+
+    def test_winner_mean_takes_no_rank(self, capsys):
+        common = ("simulate", "--n", "3", "--stat", "winner-mean", "--samples", "2000")
+        code, out, _ = run(capsys, *common, "--k", "5")
+        assert code == EXIT_OK
+        assert out == run(capsys, *common)[1]
 
     def test_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BROKENSTICK_SAMPLES", "5000")
@@ -238,6 +298,24 @@ class TestAnalyze:
             cell = row["statistics"]["segment_mean_theory"]
             assert cell["value"] == pytest.approx(mean_kth_largest(9, 1), abs=1e-6)
 
+    def test_race_past_survival_limit_rejected(self, capsys, tmp_path):
+        rows = ["race_id,horse_id,decimal_odds,won"]
+        for race in range(30):
+            rows += [f"r{race:02d},h{i},{odds},{int(i == race % 6)}"
+                     for i, odds in enumerate((2.5, 4, 6, 10, 15, 30))]
+        rows += [f"big,h{i:03d},230,{int(i == 0)}" for i in range(230)]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        outdir = tmp_path / "out_big"
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--output-dir", str(outdir))
+        assert code == EXIT_OK
+        assert "accepted 30 races, rejected 1" in out
+        rejects = (outdir / "rejections.csv").read_text().splitlines()
+        assert rejects[1:] == ["big,more than 224 entries,"]
+        for label in ("1", "2", "3", "4", "longshot"):
+            for kind in ("empirical", "theory"):
+                assert (outdir / f"eccdf_rank{label}_{kind}.csv").exists()
+
     def test_zero_accepted_races(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -287,6 +365,13 @@ class TestCompare:
         moved = [line for line in lines if not line.rstrip().endswith(" 0")]
         assert any("theory" not in line and "longshot" in line for line in moved)
         assert all("theory" not in line for line in lines[:5])  # theory cells equal
+
+    def test_not_a_report(self, capsys, tmp_path):
+        listing = tmp_path / "list.json"
+        listing.write_text("[]", encoding="utf-8")
+        code, _, err = run(capsys, "compare", str(listing), str(listing))
+        assert code == EXIT_USAGE
+        assert err == "error: not a report: missing 'buckets'\n"
 
     def test_shape_mismatch(self, capsys, tmp_path):
         a = self._analyzed(capsys, tmp_path, "a", seed=3)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brokenstick.analysis import build_report
-from brokenstick.orderstats import FieldSizeHistogram
+from brokenstick.orderstats import SURVIVAL_MAX_N, FieldSizeHistogram
 from brokenstick.racedata import (
     DEFAULT_OVERROUND_DELTA,
     BucketSpec,
+    INVARIANTS,
     FieldSizeBucket,
     RaceEntry,
     RaceRecord,
@@ -89,6 +90,14 @@ def test_duplicate_horse_id_rejected():
     text = HEADER + "r1,h1,2.5,1\nr1,h1,2.5,0\n"
     _, rejections = parse_races(text.encode())
     assert rejections[0].reason == "duplicate horse id"
+
+
+def test_field_past_survival_limit_rejected():
+    # 225 runners at odds 225 sum to 1 and pass every earlier check
+    rows = "".join(f"r1,h{i:03d},225,{int(i == 0)}\n" for i in range(SURVIVAL_MAX_N + 1))
+    _, rejections = parse_races((HEADER + rows + "r2,h1,2.0,1\nr2,h2,2.0,0\n").encode())
+    assert [(r.race_id, r.reason) for r in rejections] == [("r1", "more than 224 entries")]
+    assert INVARIANTS[-1] == "more than 224 entries"
 
 
 def test_malformed_row_logged_with_line_number():
