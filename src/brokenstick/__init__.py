@@ -5,7 +5,6 @@ from .analysis import (
     AnalysisReport,
     BucketReport,
     Cell,
-    RankRow,
     build_report,
     eccdf_per_rank,
 )

@@ -44,8 +44,8 @@ from .stats import EccdfCurve, eccdf
 
 __all__ = [
     "RANK_SELECTORS",
+    "RANK_STATISTICS",
     "Cell",
-    "RankRow",
     "BucketReport",
     "AnalysisReport",
     "eccdf_per_rank",
@@ -59,6 +59,16 @@ __all__ = [
 
 RANK_SELECTORS: tuple = (1, 2, 3, 4, "longshot")
 
+# Each rank's statistics, in the order the writers emit them; a bucket's two
+# winner cells follow its ranks, under the rank label "winner".
+RANK_STATISTICS = (
+    "mean_implied_odds",
+    "win_frequency",
+    "segment_mean_theory",
+    "implied_odds_given_win",
+    "segment_mean_given_win_theory",
+)
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -69,33 +79,15 @@ class Cell:
     count: int
     note: str = ""
 
-    @property
-    def absent(self) -> bool:
-        return self.value is None
-
-
-@dataclass(frozen=True)
-class RankRow:
-    selector: int | str
-    mean_implied_odds: Cell
-    win_frequency: Cell
-    segment_mean: Cell
-    implied_odds_given_win: Cell
-    segment_mean_given_win: Cell
-
-    @property
-    def label(self) -> str:
-        return selector_label(self.selector)
-
 
 @dataclass(frozen=True)
 class BucketReport:
+    """One bucket's races and its cells, keyed (rank label, statistic) in writing order."""
+
     bucket: FieldSizeBucket
     races: int
     histogram: FieldSizeHistogram
-    rows: tuple[RankRow, ...]
-    winner_odds: Cell
-    winner_segment: Cell
+    cells: dict[tuple[str, str], Cell]
     tie_count: int = 0
 
 
@@ -123,12 +115,10 @@ def _freq_cell(hits: int, total: int) -> Cell:
     return Cell(p, math.sqrt(p * (1.0 - p) / total), total)
 
 
-def _theory_histogram(sizes: np.ndarray, theory_field_size: int | None) -> FieldSizeHistogram:
+def _theory_histogram(histogram: FieldSizeHistogram, theory_field_size: int | None) -> FieldSizeHistogram:
     # A fixed override replaces the races' own field-size mix (for
     # controlled tests against a single known n).
-    if theory_field_size is not None:
-        return FieldSizeHistogram({theory_field_size: 1})
-    return FieldSizeHistogram.from_sizes(sizes)
+    return histogram if theory_field_size is None else FieldSizeHistogram({theory_field_size: 1})
 
 
 def _rank_rows(table: RaceTable, selector, among) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,45 +137,43 @@ def _rank_rows(table: RaceTable, selector, among) -> tuple[np.ndarray, np.ndarra
 def _bucket_report(
     table: RaceTable, bucket: FieldSizeBucket, theory_field_size: int | None
 ) -> BucketReport:
-    """Every rank row and the winner cells of one nonempty bucket.
+    """Every rank's cells and the winner cells of one nonempty bucket.
 
     A fixed rank k only uses races with field size >= k; if the bucket holds
-    none, the row's cells are marked absent rather than zero.
+    none, the rank's cells are marked absent rather than zero.
     """
     sizes = table.field_size
     in_bucket = bucket.contains(sizes)
-    rows = []
+    cells: dict[tuple[str, str], Cell] = {}
     for selector in RANK_SELECTORS:
         usable, picked, won = _rank_rows(table, selector, in_bucket)
         count = int(usable.sum())
-        if not count:
-            absent = Cell(None, None, 0, f"no races with field size >= {selector}")
-            rows.append(RankRow(selector, absent, absent, absent, absent, absent))
-            continue
-        q = table.implied_odds[picked]
-        hist = _theory_histogram(sizes[usable], theory_field_size)
-        rows.append(
-            RankRow(
-                selector,
-                mean_implied_odds=_mean_cell(q, ""),
-                win_frequency=_freq_cell(int(won.sum()), count),
-                segment_mean=Cell(mixture(hist, "mean", k=selector), None, count),
-                implied_odds_given_win=_mean_cell(q[won], "no wins at this rank"),
-                segment_mean_given_win=Cell(
-                    pooled_conditional_mean_given_win(hist, selector), None, count
-                ),
+        if count:
+            q = table.implied_odds[picked]
+            hist = _theory_histogram(FieldSizeHistogram.from_sizes(sizes[usable]), theory_field_size)
+            values = (
+                _mean_cell(q, ""),
+                _freq_cell(int(won.sum()), count),
+                Cell(mixture(hist, "mean", k=selector), None, count),
+                _mean_cell(q[won], "no wins at this rank"),
+                Cell(pooled_conditional_mean_given_win(hist, selector), None, count),
             )
-        )
+        else:
+            absent = Cell(None, None, 0, f"no races with field size >= {selector}")
+            values = [absent] * len(RANK_STATISTICS)
+        cells.update(zip([(selector_label(selector), s) for s in RANK_STATISTICS], values))
     races = int(in_bucket.sum())
+    histogram = FieldSizeHistogram.from_sizes(sizes[in_bucket])
     winner_rows = (table.offsets[:-1] + table.winner_rank - 1)[in_bucket]
-    hist = _theory_histogram(sizes[in_bucket], theory_field_size)
+    cells["winner", "winner_odds_mean"] = _mean_cell(table.implied_odds[winner_rows], "")
+    cells["winner", "winner_segment_mean_theory"] = Cell(
+        mixture(_theory_histogram(histogram, theory_field_size), "winner_segment_mean"), None, races
+    )
     return BucketReport(
         bucket=bucket,
         races=races,
-        histogram=FieldSizeHistogram.from_sizes(sizes[in_bucket]),
-        rows=tuple(rows),
-        winner_odds=_mean_cell(table.implied_odds[winner_rows], ""),
-        winner_segment=Cell(mixture(hist, "winner_segment_mean"), None, races),
+        histogram=histogram,
+        cells=cells,
         tie_count=int(table.tie_count[in_bucket].sum()),
     )
 
@@ -206,7 +194,7 @@ def eccdf_per_rank(
     if not usable.any():
         raise ValueError(f"empty selection: no races usable for rank {selector!r}")
     empirical = eccdf(table.implied_odds[picked], grid)
-    hist = _theory_histogram(table.field_size[usable], theory_field_size)
+    hist = _theory_histogram(FieldSizeHistogram.from_sizes(table.field_size[usable]), theory_field_size)
     theory = EccdfCurve(empirical.x, mixture_ccdf(hist, selector, empirical.x))
     return empirical, theory
 
@@ -241,37 +229,22 @@ def build_report(
 
 # --- serialization ---------------------------------------------------------
 
-_ROW_STATISTICS = (
-    ("mean_implied_odds", "mean_implied_odds"),
-    ("win_frequency", "win_frequency"),
-    ("segment_mean", "segment_mean_theory"),
-    ("implied_odds_given_win", "implied_odds_given_win"),
-    ("segment_mean_given_win", "segment_mean_given_win_theory"),
-)
-
 
 def _rounded(value: float | None, digits: int) -> float | None:
-    if value is None:
-        return None
-    return float(f"{value:.{digits}g}")
+    return None if value is None else float(f"{value:.{digits}g}")
 
 
 def report_cells(report: AnalysisReport, digits: int = 6) -> dict[tuple[str, str, str], Cell]:
-    """Flatten a report into {(bucket, rank, statistic): Cell} with rounded values.
+    """Every bucket's cells with rounded values, keyed (bucket, rank, statistic).
 
-    The one walk of a report: both writers read it, ``cells_from_json`` inverts it.
+    Both writers read it; ``cells_from_json`` inverts the JSON one.
     """
-    cells: dict[tuple[str, str, str], Cell] = {}
-    for bucket_report in report.buckets:
-        name = bucket_report.bucket.name
-        for row in bucket_report.rows:
-            for attr, statistic in _ROW_STATISTICS:
-                cells[(name, row.label, statistic)] = getattr(row, attr)
-        cells[(name, "winner", "winner_odds_mean")] = bucket_report.winner_odds
-        cells[(name, "winner", "winner_segment_mean_theory")] = bucket_report.winner_segment
     return {
-        key: Cell(_rounded(cell.value, digits), _rounded(cell.se, digits), cell.count, cell.note)
-        for key, cell in cells.items()
+        (b.bucket.name, rank, statistic): Cell(
+            _rounded(cell.value, digits), _rounded(cell.se, digits), cell.count, cell.note
+        )
+        for b in report.buckets
+        for (rank, statistic), cell in b.cells.items()
     }
 
 
@@ -281,30 +254,20 @@ def report_to_csv_text(report: AnalysisReport, digits: int = 6) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["bucket", "rank", "statistic", "value", "se", "count", "note"])
     for (bucket, rank, statistic), cell in report_cells(report, digits).items():
-        writer.writerow(
-            [
-                bucket,
-                rank,
-                statistic,
-                "" if cell.value is None else f"{cell.value:.{digits}g}",
-                "" if cell.se is None else f"{cell.se:.{digits}g}",
-                cell.count,
-                cell.note,
-            ]
-        )
+        value, se = ("" if v is None else f"{v:.{digits}g}" for v in (cell.value, cell.se))
+        writer.writerow([bucket, rank, statistic, value, se, cell.count, cell.note])
     return out.getvalue()
 
 
 def report_to_json_text(report: AnalysisReport, digits: int = 6) -> str:
-    """Structured JSON document: ``report_cells`` grouped by bucket and rank."""
-    groups: dict[str, dict[str, dict]] = {}
-    for (bucket, rank, statistic), cell in report_cells(report, digits).items():
-        groups.setdefault(bucket, {}).setdefault(rank, {})[statistic] = dataclasses.asdict(cell)
+    """Structured JSON document: ``report_cells`` of each bucket grouped by rank."""
+    cells = report_cells(report, digits)
     buckets = []
     for bucket_report in report.buckets:
         bucket = bucket_report.bucket
-        ranks = groups[bucket.name]
-        winner = ranks.pop("winner")
+        ranks: dict[str, dict] = {}
+        for rank, statistic in bucket_report.cells:
+            ranks.setdefault(rank, {})[statistic] = dataclasses.asdict(cells[bucket.name, rank, statistic])
         buckets.append({
             "name": bucket.name,
             "lo": bucket.lo,
@@ -314,8 +277,9 @@ def report_to_json_text(report: AnalysisReport, digits: int = 6) -> str:
             "field_size_counts": {
                 str(n): c for n, c in sorted(bucket_report.histogram.counts.items())
             },
-            "ranks": [{"rank": rank, "statistics": stats} for rank, stats in ranks.items()],
-            "winner": winner,
+            "ranks": [{"rank": rank, "statistics": statistics}
+                      for rank, statistics in ranks.items() if rank != "winner"],
+            "winner": ranks["winner"],
         })
     payload = {
         "min_field_size": report.min_field_size,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -170,6 +171,15 @@ _STATISTICS = {
 }
 
 
+def _gap_in_se(stat: str, estimate: montecarlo.McEstimate, exact: float) -> float:
+    # A ccdf estimate whose draws all fell on one side of x has sample SE 0:
+    # its gap is measured in the binomial SE at the exact value instead.
+    if stat == "ccdf" and estimate.se == 0.0:
+        se = (exact * (1.0 - exact) / estimate.samples) ** 0.5
+        return montecarlo.McEstimate(estimate.value, se, estimate.samples).gap_in_se(exact)
+    return estimate.gap_in_se(exact)
+
+
 def _exact_rows(args, hist, ranks) -> list[tuple]:
     """(k, x, value) rows of ``args.stat`` over ``hist``, one per rank; for ccdf,
     one per point of ``--x`` (or of a quantile grid at ``--n``), sorted.
@@ -219,7 +229,7 @@ def cmd_simulate(args) -> int:
     estimates = _STATISTICS[args.stat][1](n, k, [x for _, x, _ in exact], config, args.workers)
     rows = [
         {"statistic": args.stat, "n": n, "k": k, "x": x, "estimate": est.value,
-         "se": est.se, "exact": value, "gap_se": est.gap_in_se(value)}
+         "se": est.se, "exact": value, "gap_se": _gap_in_se(args.stat, est, value)}
         for (k, x, value), est in zip(exact, estimates)
     ]
     columns = ["statistic", "n", "k", "x", "estimate", "se", "exact", "gap_se"]
@@ -370,6 +380,7 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--output", help="write to this file instead of stdout")
 
 
+@functools.cache  # built on first use, once per process: not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brokenstick", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -20,7 +20,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class RaceRecord:
     def field_size(self) -> int:
         return len(self.entries)
 
-    def implied_odds_sum(self) -> float:
-        return sum(1.0 / e.decimal_odds for e in self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class Races:
@@ -99,19 +96,6 @@ class Races:
     horse_ids: np.ndarray
     decimal_odds: np.ndarray
     won: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: Iterable[RaceRecord]) -> "Races":
-        records = list(records)
-        entries = [e for r in records for e in r.entries]
-        sizes = np.array([len(r.entries) for r in records], dtype=np.int64)
-        return cls(
-            race_ids=np.array([r.race_id for r in records], dtype=object),
-            offsets=np.concatenate(([0], np.cumsum(sizes))),
-            horse_ids=np.array([e.horse_id for e in entries], dtype=object),
-            decimal_odds=np.array([e.decimal_odds for e in entries], dtype=float),
-            won=np.array([e.won for e in entries], dtype=bool),
-        )
 
     def __len__(self) -> int:
         return len(self.race_ids)

@@ -158,22 +158,23 @@ def test_criterion_5_end_to_end_pipeline(pipeline_report):
     checked = 0
     for bucket_report in report.buckets:
         name = bucket_report.bucket.name
-        for row in bucket_report.rows:
-            z = row.segment_mean.value
-            z_win = row.segment_mean_given_win.value
-            cells = (
-                (row.mean_implied_odds, z, "Q"),
-                (row.win_frequency, z, "P"),
-                (row.implied_odds_given_win, z_win, "Q|win"),
+        cells = bucket_report.cells
+        for rank in ("1", "2", "3", "4", "longshot"):
+            z = cells[rank, "segment_mean_theory"].value
+            z_win = cells[rank, "segment_mean_given_win_theory"].value
+            checks = (
+                (cells[rank, "mean_implied_odds"], z, "Q"),
+                (cells[rank, "win_frequency"], z, "P"),
+                (cells[rank, "implied_odds_given_win"], z_win, "Q|win"),
             )
-            for cell, target, tag in cells:
-                assert cell.value is not None, f"{name}/{row.label}/{tag} absent"
+            for cell, target, tag in checks:
+                assert cell.value is not None, f"{name}/{rank}/{tag} absent"
                 gap = abs(cell.value - target) / cell.se if cell.se else 0.0
                 checked += 1
                 if gap > worst:
-                    worst, worst_at = gap, f"{name}/{row.label}/{tag}"
-        winner = bucket_report.winner_odds
-        gap = abs(winner.value - bucket_report.winner_segment.value) / winner.se
+                    worst, worst_at = gap, f"{name}/{rank}/{tag}"
+        winner = cells["winner", "winner_odds_mean"]
+        gap = abs(winner.value - cells["winner", "winner_segment_mean_theory"].value) / winner.se
         checked += 1
         if gap > worst:
             worst, worst_at = gap, f"{name}/winner"

@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from brokenstick.analysis import (
+    RANK_SELECTORS,
+    RANK_STATISTICS,
     build_report,
     cells_from_json,
     curve_to_csv_text,
@@ -25,11 +28,11 @@ from brokenstick.racedata import (
     FieldSizeBucket,
     RaceEntry,
     RaceRecord,
-    Races,
     rank_races,
 )
 from brokenstick.stats import EccdfCurve
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
+from race_columns import races_of
 
 ALL = FieldSizeBucket("all", 5)
 
@@ -57,18 +60,18 @@ def _bucket(races, bucket=ALL, theory_field_size=None):
 
 def test_single_race_win_frequencies():
     # rank-3 horse won: P(3) = 1, every other rank 0
-    races = rank_races(Races.from_records([_race("r1", [2.5, 3.5, 5.0, 9.0, 19.0], 2)]))
-    by_label = {row.selector: row.win_frequency for row in _bucket(races).rows}
-    assert by_label[3].value == 1.0
-    assert by_label[1].value == 0.0
-    assert by_label[2].value == 0.0
-    assert by_label[4].value == 0.0
-    assert by_label["longshot"].value == 0.0
+    races = rank_races(races_of([_race("r1", [2.5, 3.5, 5.0, 9.0, 19.0], 2)]))
+    cells = _bucket(races).cells
+    assert cells["3", "win_frequency"].value == 1.0
+    assert cells["1", "win_frequency"].value == 0.0
+    assert cells["2", "win_frequency"].value == 0.0
+    assert cells["4", "win_frequency"].value == 0.0
+    assert cells["longshot", "win_frequency"].value == 0.0
 
 
 def test_win_frequencies_sum_to_one_over_fixed_ranks():
     races = _synthetic_races(300, [5, 8, 11] * 100, seed=41)
-    rows = _bucket(races).rows
+    cells = _bucket(races).cells
     # rank cells share the denominator only when every race has n >= k;
     # reconstruct the full frequency vector directly
     total = len(races)
@@ -79,20 +82,19 @@ def test_win_frequencies_sum_to_one_over_fixed_ranks():
         freq[k] = wins / total
     assert abs(sum(freq.values()) - 1.0) < 1e-12
     # and the reported fixed-rank cells agree with the reconstruction
-    for row in rows:
-        if row.selector == "longshot":
-            continue
-        usable = sizes >= row.selector
-        wins = int(np.sum(winner_rank[usable] == row.selector))
-        assert row.win_frequency.value == pytest.approx(wins / usable.sum())
+    for k in (1, 2, 3, 4):
+        usable = sizes >= k
+        wins = int(np.sum(winner_rank[usable] == k))
+        assert cells[str(k), "win_frequency"].value == pytest.approx(wins / usable.sum())
 
 
 def test_theory_column_is_bucket_mixture():
     races = _synthetic_races(60, [5, 9] * 30, seed=17)
     hist = FieldSizeHistogram.from_sizes(races.field_size)
     w5 = hist.weights()[5]
-    for row in _bucket(races).rows:
-        sel, z_cell = row.selector, row.segment_mean
+    cells = _bucket(races).cells
+    for sel in RANK_SELECTORS:
+        z_cell = cells[str(sel), "segment_mean_theory"]
         if sel == "longshot":
             expected = w5 * mean_kth_largest(5, 5) + (1 - w5) * mean_kth_largest(9, 9)
         else:
@@ -103,18 +105,18 @@ def test_theory_column_is_bucket_mixture():
 def test_conditional_cells_marked_absent_without_wins():
     # hand-built races where the longshot never wins
     races = rank_races(
-        Races.from_records([_race(f"r{i}", [2.5, 3.5, 5.0, 9.0, 19.0], 0) for i in range(4)])
+        races_of([_race(f"r{i}", [2.5, 3.5, 5.0, 9.0, 19.0], 0) for i in range(4)])
     )
-    by_label = {row.selector: row.implied_odds_given_win for row in _bucket(races).rows}
-    assert by_label["longshot"].absent
-    assert by_label["longshot"].note == "no wins at this rank"
-    assert not by_label[1].absent
+    cells = _bucket(races).cells
+    assert cells["longshot", "implied_odds_given_win"].value is None
+    assert cells["longshot", "implied_odds_given_win"].note == "no wins at this rank"
+    assert cells["1", "implied_odds_given_win"].value is not None
 
 
 def test_winner_odds_average_single_race():
-    races = rank_races(Races.from_records([_race("r1", [2.0, 4.0, 8.0, 16.0, 19.0], 0)]))
-    report = _bucket(races)
-    empirical, theory = report.winner_odds, report.winner_segment
+    races = rank_races(races_of([_race("r1", [2.0, 4.0, 8.0, 16.0, 19.0], 0)]))
+    cells = _bucket(races).cells
+    empirical, theory = cells["winner", "winner_odds_mean"], cells["winner", "winner_segment_mean_theory"]
     assert empirical.value == pytest.approx(0.5)
     assert theory.value == pytest.approx(2.0 / 6.0)
 
@@ -123,6 +125,22 @@ def test_empty_bucket_raises_with_name():
     races = _synthetic_races(10, [5] * 10, seed=1)
     with pytest.raises(ValueError, match="large"):
         build_report(races, BucketSpec((FieldSizeBucket("large", 11),)))
+
+
+def test_cells_keep_writing_order_with_an_absent_rank():
+    # field sizes 2 and 3 only: rank 4 has no races and its cells are absent
+    races = _synthetic_races(40, [2, 3] * 20, seed=8)
+    report = build_report(races, BucketSpec((FieldSizeBucket("small", 2),)), 2)
+    keys = [(label, statistic)
+            for label in ("1", "2", "3", "4", "longshot") for statistic in RANK_STATISTICS]
+    keys += [("winner", "winner_odds_mean"), ("winner", "winner_segment_mean_theory")]
+    cells = report.buckets[0].cells
+    assert list(cells) == keys
+    assert {cells["4", statistic].note for statistic in RANK_STATISTICS} == {
+        "no races with field size >= 4"
+    }
+    rows = list(csv.reader(report_to_csv_text(report).splitlines()))[1:]
+    assert [tuple(row[:3]) for row in rows] == [("small", *key) for key in keys]
 
 
 def test_report_completeness():
@@ -187,9 +205,12 @@ def test_min_field_size_drops_races():
 
 def test_theory_field_size_override():
     races = _synthetic_races(50, [5, 9] * 25, seed=3)
-    for row in _bucket(races, theory_field_size=9).rows:
-        rank = 9 if row.selector == "longshot" else row.selector
-        assert row.segment_mean.value == pytest.approx(mean_kth_largest(9, rank), abs=1e-12)
+    cells = _bucket(races, theory_field_size=9).cells
+    for sel in RANK_SELECTORS:
+        rank = 9 if sel == "longshot" else sel
+        assert cells[str(sel), "segment_mean_theory"].value == pytest.approx(
+            mean_kth_largest(9, rank), abs=1e-12
+        )
 
 
 def test_eccdf_trivia():
@@ -222,8 +243,12 @@ def test_eccdf_pooling_matches_single_field_size_estimator():
 def test_noise_free_market_is_efficient():
     # E[Q_(k)] and E[P_(k)] agree within 5 SE on a clean synthetic market
     races = _synthetic_races(4000, [9] * 4000, seed=31)
-    for row in _bucket(races).rows:
-        q_cell, p_cell, z_cell = row.mean_implied_odds, row.win_frequency, row.segment_mean
+    cells = _bucket(races).cells
+    for sel in RANK_SELECTORS:
+        q_cell, p_cell, z_cell = (
+            cells[str(sel), statistic]
+            for statistic in ("mean_implied_odds", "win_frequency", "segment_mean_theory")
+        )
         se = np.hypot(q_cell.se, p_cell.se)
         assert abs(q_cell.value - p_cell.value) <= 5 * se
         assert abs(q_cell.value - z_cell.value) <= 5 * q_cell.se
@@ -232,9 +257,10 @@ def test_noise_free_market_is_efficient():
 def test_conditional_theory_uses_pooled_ratio():
     races = _synthetic_races(100, [5, 12] * 50, seed=13)
     hist = FieldSizeHistogram.from_sizes(races.field_size)
-    for row in _bucket(races).rows:
-        assert row.segment_mean_given_win.value == pytest.approx(
-            pooled_conditional_mean_given_win(hist, row.selector), abs=1e-12
+    cells = _bucket(races).cells
+    for sel in RANK_SELECTORS:
+        assert cells[str(sel), "segment_mean_given_win_theory"].value == pytest.approx(
+            pooled_conditional_mean_given_win(hist, sel), abs=1e-12
         )
 
 
@@ -243,15 +269,17 @@ def test_pipeline_recovers_fixed_field_law():
     # the win frequency of the favourite both estimate H(9,1)/9, and the
     # winner's mean odds estimate 2/10 (theory column exact)
     races = _synthetic_races(12_000, [9] * 12_000, seed=424)
-    report = _bucket(races)
+    cells = _bucket(races).cells
     expected = mean_kth_largest(9, 1)
-    row = report.rows[0]
-    q_cell, p_cell, z_cell = row.mean_implied_odds, row.win_frequency, row.segment_mean
+    q_cell, p_cell, z_cell = (
+        cells["1", statistic]
+        for statistic in ("mean_implied_odds", "win_frequency", "segment_mean_theory")
+    )
     assert z_cell.value == pytest.approx(expected, abs=1e-12)
     assert abs(q_cell.value - expected) <= 3 * q_cell.se
     assert abs(p_cell.value - expected) <= 3 * p_cell.se
 
-    empirical, theory = report.winner_odds, report.winner_segment
+    empirical, theory = cells["winner", "winner_odds_mean"], cells["winner", "winner_segment_mean_theory"]
     assert theory.value == pytest.approx(0.2, abs=1e-12)
     assert abs(empirical.value - 0.2) <= 3 * empirical.se
 
@@ -268,9 +296,8 @@ def test_pipeline_recovers_fixed_field_law():
 def test_conditional_mean_two_horse_races():
     # winner-conditioned favourite odds converge to 7/9 at n = 2
     races = _synthetic_races(100_000, [2] * 100_000, seed=77)
-    row = _bucket(races, FieldSizeBucket("pairs", 2)).rows[0]
-    q_win, theory = row.implied_odds_given_win, row.segment_mean_given_win
-    assert row.selector == 1
+    cells = _bucket(races, FieldSizeBucket("pairs", 2)).cells
+    q_win, theory = cells["1", "implied_odds_given_win"], cells["1", "segment_mean_given_win_theory"]
     assert theory.value == pytest.approx(7 / 9, abs=1e-12)
     assert abs(q_win.value - 7 / 9) <= 3 * q_win.se
 
@@ -282,9 +309,10 @@ def test_noise_inflates_longshot_misranking():
     races = _synthetic_races(6000, FieldSizeHistogram({n: 1 for n in range(5, 13)}),
                              seed=3, noise=0.3)
     rel_gap = {}
-    for row in _bucket(races).rows:
-        p_cell, z_cell = row.win_frequency, row.segment_mean
-        rel_gap[row.selector] = (p_cell.value - z_cell.value) / z_cell.value
+    cells = _bucket(races).cells
+    for sel in RANK_SELECTORS:
+        p_cell, z_cell = cells[str(sel), "win_frequency"], cells[str(sel), "segment_mean_theory"]
+        rel_gap[sel] = (p_cell.value - z_cell.value) / z_cell.value
     assert rel_gap["longshot"] > 0.10
     assert rel_gap["longshot"] > max(abs(g) for s, g in rel_gap.items() if s != "longshot")
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from brokenstick import montecarlo
+from brokenstick import cli, montecarlo
 from brokenstick.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -137,6 +137,23 @@ class TestSimulate:
             capsys, "simulate", "--n", "5", "--k", "2", "--stat", "mean",
             "--samples", "20000", "--seed", "3", "--max-se", "1e-9",
         )
+        assert code == EXIT_TOLERANCE
+        assert "tolerance breach" in err
+
+    def test_ccdf_gap_at_sample_se_zero_uses_binomial_se(self, capsys, monkeypatch):
+        # all 3000 draws survive x = 0.01 (exact 0.9999988), so the sample SE is
+        # 0 and the 1.2e-6 gap is measured in the binomial SE at the exact value
+        argv = ("simulate", "--n", "5", "--k", "2", "--stat", "ccdf", "--x", "0.01",
+                "--samples", "3000", "--seed", "5", "--format", "csv")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+        assert (row["estimate"], row["se"]) == ("1", "0")
+        assert float(row["gap_se"]) < 0.1
+        # a wrong exact value still breaches: 0.99 is 5.5 binomial SEs from 1
+        _, estimate = cli._STATISTICS["ccdf"]
+        monkeypatch.setitem(cli._STATISTICS, "ccdf", (lambda hist, k, xs: [0.99] * len(xs), estimate))
+        code, _, err = run(capsys, *argv)
         assert code == EXIT_TOLERANCE
         assert "tolerance breach" in err
 

@@ -10,7 +10,6 @@ Record the file again with ``python tests/test_cli_golden.py`` only for a
 change that moves a printed number on purpose, and say why.
 """
 
-import functools
 import hashlib
 import io
 import itertools
@@ -18,7 +17,6 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from brokenstick import cli
 from brokenstick.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -46,9 +44,7 @@ def run(argv):
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
 
 
-def test_single_field_size_stdout_is_pinned(monkeypatch):
-    # one parser for all calls: building it costs more than most calls
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_single_field_size_stdout_is_pinned():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     seen = {}
     for argv in calls():

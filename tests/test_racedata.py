@@ -16,7 +16,6 @@ from brokenstick.racedata import (
     FieldSizeBucket,
     RaceEntry,
     RaceRecord,
-    Races,
     parse_races,
     races_to_csv_text,
     rank_races,
@@ -24,6 +23,7 @@ from brokenstick.racedata import (
 )
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 import reference_parse
+from race_columns import races_of
 from reference_ranking import rank_race
 
 HEADER = "race_id,horse_id,decimal_odds,won\n"
@@ -157,7 +157,7 @@ def test_bad_header_is_fatal():
 def test_parse_from_path(tmp_path):
     path = tmp_path / "races.csv"
     record = _record("r9", [("h1", 2.0, 1), ("h2", 2.1, 0)])
-    write_races_csv(Races.from_records([record]), path)
+    write_races_csv(races_of([record]), path)
     records, rejections = parse_races(path)
     assert rejections == []
     assert list(records) == [record]
@@ -165,7 +165,7 @@ def test_parse_from_path(tmp_path):
 
 def test_tie_break_is_deterministic():
     table = rank_races(
-        Races.from_records(
+        races_of(
             [
                 _record("r1", [("hB", 4.0, 0), ("hA", 4.0, 0), ("hC", 1.34, 1)]),
                 # an n=2 race: rank 1 is the favourite, rank 2 is also the longshot
@@ -182,8 +182,8 @@ def test_tie_break_is_deterministic():
 
 def test_renormalize_divides_by_total():
     record = _record("r1", [("h1", 2.0, 1), ("h2", 2.2, 0)])
-    raw = rank_races(Races.from_records([record]))
-    norm = rank_races(Races.from_records([record]), renormalize=True)
+    raw = rank_races(races_of([record]))
+    norm = rank_races(races_of([record]), renormalize=True)
     assert raw.implied_odds.sum() == pytest.approx(1 / 2.0 + 1 / 2.2)
     assert norm.implied_odds.sum() == pytest.approx(1.0)
 
@@ -209,7 +209,7 @@ def _tie_heavy_records(rng, count):
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_table_matches_per_race_ranking(renormalize):
     records = _tie_heavy_records(np.random.default_rng(2024), 3000)
-    table = rank_races(Races.from_records(records), renormalize=renormalize)
+    table = rank_races(races_of(records), renormalize=renormalize)
     assert len(table) == len(records)
     assert list(table.race_ids) == [r.race_id for r in records]
     assert table.tie_count.sum() > 1000
@@ -224,10 +224,10 @@ def test_table_matches_per_race_ranking(renormalize):
 
 def test_select_keeps_whole_races_in_order():
     records = _tie_heavy_records(np.random.default_rng(5), 40)
-    table = rank_races(Races.from_records(records))
+    table = rank_races(races_of(records))
     keep = table.field_size >= 6
     picked = table.select(keep)
-    again = rank_races(Races.from_records([r for r, k in zip(records, keep) if k]))
+    again = rank_races(races_of([r for r, k in zip(records, keep) if k]))
     for name in ("race_ids", "offsets", "horse_ids", "implied_odds", "winner_rank", "tie_count"):
         assert np.array_equal(getattr(picked, name), getattr(again, name)), name
 
@@ -238,7 +238,7 @@ def test_select_keeps_whole_races_in_order():
 def test_ranking_needs_one_winner(won):
     record = _record("r7", [("h1", 2.0, won[0]), ("h2", 2.1, won[1])])
     with pytest.raises(ValueError, match="r7"):
-        rank_races(Races.from_records([_record("r1", [("h1", 2.0, 1), ("h2", 2.1, 0)]), record]))
+        rank_races(races_of([_record("r1", [("h1", 2.0, 1), ("h2", 2.1, 0)]), record]))
 
 
 def test_invariant_checker_passes_valid_record():
@@ -272,7 +272,7 @@ class TestBuckets:
 
     def test_field_size_histogram_per_bucket(self):
         races = rank_races(
-            Races.from_records(
+            races_of(
                 [
                     _record("r1", [(f"h{i}", 5.0, i == 1) for i in range(1, 6)]),
                     _record("r2", [(f"h{i}", 5.0, i == 1) for i in range(1, 6)]),
@@ -292,14 +292,14 @@ class TestBuckets:
 
 def test_csv_round_trip_preserves_floats():
     record = _record("r1", [("h1", 2.3456789012345678, 1), ("h2", 1.7654321098765432, 0)])
-    text = races_to_csv_text(Races.from_records([record]))
+    text = races_to_csv_text(races_of([record]))
     parsed, _ = parse_races(text.encode())
     assert parsed[0].entries[0].decimal_odds == record.entries[0].decimal_odds
     assert parsed[0].entries[1].decimal_odds == record.entries[1].decimal_odds
 
 
 def test_csv_round_trip_quotes_ids():
-    races = Races.from_records(
+    races = races_of(
         [
             _record("r,1", [('h"1', 2.0, 1), (" h2", 2.5, 0), ("h,3", 8.0, 0)]),
             _record(' r"2', [("h1", 1.5, 0), ("h2", 3.0, 1)]),
@@ -316,7 +316,7 @@ def test_csv_round_trip_quotes_ids():
     # the parser strips the space around an id, quoted or not
     parsed, rejections = parse_races(text.encode())
     assert rejections == []
-    assert parsed == Races.from_records(
+    assert parsed == races_of(
         [
             _record("r,1", [('h"1', 2.0, 1), ("h2", 2.5, 0), ("h,3", 8.0, 0)]),
             _record('r"2', [("h1", 1.5, 0), ("h2", 3.0, 1)]),
@@ -428,7 +428,10 @@ def test_columnar_parse_matches_row_parser(lines, edge):
         # in which the sum is added decides whether that race passes
         records, _ = reference_parse.parse_races(data, overround_delta=math.inf)
         if records:
-            delta = abs(records[edge % len(records)].implied_odds_sum() - 1.0)
+            total = 0.0
+            for entry in records[edge % len(records)].entries:  # left to right, as parse adds
+                total += 1.0 / entry.decimal_odds
+            delta = abs(total - 1.0)
     races, rejections = parse_races(data, overround_delta=delta)
     records, expected = reference_parse.parse_races(data, overround_delta=delta)
     assert [(r.race_id, r.reason, r.line) for r in rejections] == [
