@@ -3,7 +3,9 @@
 The digests pin report.csv, report.json, rejections.csv and the ten curve
 CSVs for a small seeded synthetic market and for a hand-written tie-heavy
 CSV, each analyzed with and without ``--renormalize``, plus the seeded
-synth CSV itself.  A refactor of the synth, ranking or report code must
+synth CSV itself.  The tie-heavy CSV and a seeded market of field sizes
+2-12 are also pinned at the field-size cuts ``--min-field-size`` 2 and 3,
+which change the races of bucket ``all`` and of every curve.  A refactor of the synth, ranking or report code must
 reproduce them bit for bit; a change that moves a number on purpose
 re-records them and says why.
 """
@@ -220,6 +222,118 @@ DIGESTS = {
         "eccdf_ranklongshot_theory.csv":
             "d957f48b43ce7ce58ea99342519ba68d4b171107ce880c50e87f9d338acaa6ae",
     },
+    ("ties", "--min-field-size", "2"): {
+        "report.csv":
+            "89357eb3ffaa3cc343cf6e4631a018afc84640154edd5af7c955d4ad3a08aeaa",
+        "report.json":
+            "d2166583a86aae0b23966340268e52441f71c89fca02b56a685a54ed571c98c9",
+        "rejections.csv":
+            "fe41315844d01bc6ab52908c2b2913d418b4b0f8f0308c06046e5487290d0afc",
+        "eccdf_rank1_empirical.csv":
+            "8952d3cc9b6151aaea92a72170286c7de2cc33185ee21e6d7c1a7ae7756a1ba3",
+        "eccdf_rank1_theory.csv":
+            "614827645f93ee15b2817378834bc09f0167df960f56e81e17ca0f0ea9149f89",
+        "eccdf_rank2_empirical.csv":
+            "3d9eff748a9756b81d5bd05f7cb8be2ee1b8ca19b813507df15609e0d33ca267",
+        "eccdf_rank2_theory.csv":
+            "fb7647acea2cdc7883328c3dee5e0c0a054f13a849deaf1814dfab3957fcfbfb",
+        "eccdf_rank3_empirical.csv":
+            "f2d905293a8de7379b5215a619c33e7070edcb52e41c8b5fb7198b007b70f1c3",
+        "eccdf_rank3_theory.csv":
+            "c66bf52fa02ab837b24e781d79a76258ab33ff65822ec65d9dd84c29133fb8ca",
+        "eccdf_rank4_empirical.csv":
+            "b2f4d5269864d10d6516e4270f78ce7108b914ab5d697bcb1bb39e9003314ce5",
+        "eccdf_rank4_theory.csv":
+            "98464a80f2e79dc27803aa1de2893ad3f747da772fd38f476ce92eaec0e00cc2",
+        "eccdf_ranklongshot_empirical.csv":
+            "a4deb29ee90c74cd7b1c18b3dd8947e9b63076f30b97d3d8e1e6f5a651e93858",
+        "eccdf_ranklongshot_theory.csv":
+            "2c05a81158c4b20028f300e76cfcc5d742f129a0ddfeded57e02776ccce4f6f6",
+    },
+    ("ties", "--min-field-size", "3"): {
+        "report.csv":
+            "89357eb3ffaa3cc343cf6e4631a018afc84640154edd5af7c955d4ad3a08aeaa",
+        "report.json":
+            "834288db2fe96067c50a0fb46fda841f4fc079f30707a25589b919b92a5178e2",
+        "rejections.csv":
+            "fe41315844d01bc6ab52908c2b2913d418b4b0f8f0308c06046e5487290d0afc",
+        "eccdf_rank1_empirical.csv":
+            "8952d3cc9b6151aaea92a72170286c7de2cc33185ee21e6d7c1a7ae7756a1ba3",
+        "eccdf_rank1_theory.csv":
+            "614827645f93ee15b2817378834bc09f0167df960f56e81e17ca0f0ea9149f89",
+        "eccdf_rank2_empirical.csv":
+            "3d9eff748a9756b81d5bd05f7cb8be2ee1b8ca19b813507df15609e0d33ca267",
+        "eccdf_rank2_theory.csv":
+            "fb7647acea2cdc7883328c3dee5e0c0a054f13a849deaf1814dfab3957fcfbfb",
+        "eccdf_rank3_empirical.csv":
+            "f2d905293a8de7379b5215a619c33e7070edcb52e41c8b5fb7198b007b70f1c3",
+        "eccdf_rank3_theory.csv":
+            "c66bf52fa02ab837b24e781d79a76258ab33ff65822ec65d9dd84c29133fb8ca",
+        "eccdf_rank4_empirical.csv":
+            "b2f4d5269864d10d6516e4270f78ce7108b914ab5d697bcb1bb39e9003314ce5",
+        "eccdf_rank4_theory.csv":
+            "98464a80f2e79dc27803aa1de2893ad3f747da772fd38f476ce92eaec0e00cc2",
+        "eccdf_ranklongshot_empirical.csv":
+            "a4deb29ee90c74cd7b1c18b3dd8947e9b63076f30b97d3d8e1e6f5a651e93858",
+        "eccdf_ranklongshot_theory.csv":
+            "2c05a81158c4b20028f300e76cfcc5d742f129a0ddfeded57e02776ccce4f6f6",
+    },
+    ("small-fields", "--min-field-size", "2"): {
+        "report.csv":
+            "65d12120004ccf7f17d2499c56edb97526d7b43d4eaa1f719241143410abaddc",
+        "report.json":
+            "7fd1990a02ebe49c210274caa754505466e6c0aa03b9558e2815af5da67e848a",
+        "rejections.csv":
+            "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
+        "eccdf_rank1_empirical.csv":
+            "9c2a950c63e94c71185fa877e3dc4e0d2ca89111fc08d5f1feecab583970b344",
+        "eccdf_rank1_theory.csv":
+            "b5d73decd1c34645b641ce58f7d0bbeb20193ad67f891fab79f614eb96cbcc0d",
+        "eccdf_rank2_empirical.csv":
+            "ae8c37e5d6b6821cabd1b0d2a1f910e645d72c4113df851d82906dda7f6df854",
+        "eccdf_rank2_theory.csv":
+            "43448009cd3dc9264e5f89540442976179303aaf95e7f537b4b7cdc593611f60",
+        "eccdf_rank3_empirical.csv":
+            "a08f2ce5a15251287d1ed2f94f241d3d7bdef52ebd356279d558e24ba775e9bf",
+        "eccdf_rank3_theory.csv":
+            "30a5fec7b9e0785a092be0ba6570249e7c4b8180b6bc26a962cd5d39af04c3dc",
+        "eccdf_rank4_empirical.csv":
+            "bde8d7f4a91ad4f94492ceafda688bb8c3081be1bbb6884d4fb579b9f5cbb6ee",
+        "eccdf_rank4_theory.csv":
+            "12a9a3637e75dfab0e33b2dc0660d41fca29e79b99261b18a3363e9711d6eb65",
+        "eccdf_ranklongshot_empirical.csv":
+            "ca69758faf0bae3582a287ea84f98c416cd469f0d60b98164ebf250fdd889463",
+        "eccdf_ranklongshot_theory.csv":
+            "4e2aca40dfd3c017f24ef8735bc4e82a92c30eaa0e47cd7ca42e10ee8e266b7e",
+    },
+    ("small-fields", "--min-field-size", "3"): {
+        "report.csv":
+            "f062e43f74d3ea227652ee7e8c5b2549baa7693695bd1c4ef75831876fec2a93",
+        "report.json":
+            "279a0dd17fdfd6f2bfa3005ae131c339548e052e59ee0e3ad2950ea505251c20",
+        "rejections.csv":
+            "cf1daffcb4a815b9e66be3275f8441e08038c8f755df9197277fe264b6451e1d",
+        "eccdf_rank1_empirical.csv":
+            "daee54a4b08749b76d5ae759e062c9ddfccaac17c5c7b7649fb968eea5b56d8b",
+        "eccdf_rank1_theory.csv":
+            "053383c710b8dc3180542a5a99adbefd4ee2c4c122f6670c65c48306462a720c",
+        "eccdf_rank2_empirical.csv":
+            "c7705d633db6ee48de6e00e85cf4e918268d338c7290d6360ff05ba1f1ca931f",
+        "eccdf_rank2_theory.csv":
+            "c9a36a18485fdf6bd8d15c72770e7c90a6bf7a21ce9cf039653b0fb39a88150f",
+        "eccdf_rank3_empirical.csv":
+            "a08f2ce5a15251287d1ed2f94f241d3d7bdef52ebd356279d558e24ba775e9bf",
+        "eccdf_rank3_theory.csv":
+            "30a5fec7b9e0785a092be0ba6570249e7c4b8180b6bc26a962cd5d39af04c3dc",
+        "eccdf_rank4_empirical.csv":
+            "bde8d7f4a91ad4f94492ceafda688bb8c3081be1bbb6884d4fb579b9f5cbb6ee",
+        "eccdf_rank4_theory.csv":
+            "12a9a3637e75dfab0e33b2dc0660d41fca29e79b99261b18a3363e9711d6eb65",
+        "eccdf_ranklongshot_empirical.csv":
+            "0b08c1f32fea41ced5837fb88893f3b75254a9061ea6c4032b111deae133c9ef",
+        "eccdf_ranklongshot_theory.csv":
+            "e207faccbfbc931452064883a542f18491c7d2fec8147f9eae5db43db27f0b8e",
+    },
 }
 
 
@@ -243,6 +357,15 @@ def synth_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_fields_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small_fields") / "races.csv"
+    code = main(["synth", "--races", "600", "--n-min", "2", "--n-max", "12",
+                 "--seed", "2024", "--output", str(path)])
+    assert code == EXIT_OK
+    return path
+
+
 @pytest.mark.parametrize("extra", [[], ["--renormalize"]], ids=["raw", "renormalized"])
 def test_synth_market_outputs_are_pinned(capsys, tmp_path, synth_csv, extra):
     key = ("synth",) + tuple(extra)
@@ -255,3 +378,12 @@ def test_tie_heavy_outputs_are_pinned(capsys, tmp_path, extra):
     path.write_text(TIE_HEAVY_CSV, encoding="utf-8")
     key = ("ties",) + tuple(extra)
     assert _digests(capsys, tmp_path, path, extra) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("cut", ["2", "3"])
+def test_field_size_cuts_are_pinned(capsys, tmp_path, small_fields_csv, cut):
+    ties = tmp_path / "ties.csv"
+    ties.write_text(TIE_HEAVY_CSV, encoding="utf-8")
+    extra = ["--min-field-size", cut]
+    for market, path in (("ties", ties), ("small-fields", small_fields_csv)):
+        assert _digests(capsys, tmp_path / market, path, extra) == DIGESTS[(market, *extra)], market
