@@ -35,8 +35,6 @@ from .orderstats import (
     winner_segment_mean,
 )
 from .racedata import (
-    BucketSpec,
-    FieldSizeBucket,
     RaceEntry,
     RaceRecord,
     Races,

@@ -39,12 +39,13 @@ from .orderstats import (
     mixture_ccdf,
     pooled_conditional_mean_given_win,
 )
-from .racedata import BucketSpec, FieldSizeBucket, RaceTable
+from .racedata import RaceTable
 from .stats import EccdfCurve, eccdf
 
 __all__ = [
     "RANK_SELECTORS",
     "RANK_STATISTICS",
+    "FieldSizeBucket",
     "Cell",
     "BucketReport",
     "AnalysisReport",
@@ -71,6 +72,19 @@ RANK_STATISTICS = (
 
 
 @dataclass(frozen=True)
+class FieldSizeBucket:
+    """Named inclusive field-size range; ``hi=None`` means unbounded."""
+
+    name: str
+    lo: int
+    hi: int | None = None
+
+    def contains(self, n):
+        """Whether field size n falls in the bucket; elementwise on arrays."""
+        return (n >= self.lo) & (self.hi is None or n <= self.hi)
+
+
+@dataclass(frozen=True)
 class Cell:
     """One report number: value with uncertainty, or an explicit absence."""
 
@@ -94,7 +108,6 @@ class BucketReport:
 @dataclass(frozen=True)
 class AnalysisReport:
     buckets: tuple[BucketReport, ...]
-    min_field_size: int
     renormalized: bool
 
 
@@ -115,12 +128,6 @@ def _freq_cell(hits: int, total: int) -> Cell:
     return Cell(p, math.sqrt(p * (1.0 - p) / total), total)
 
 
-def _theory_histogram(histogram: FieldSizeHistogram, theory_field_size: int | None) -> FieldSizeHistogram:
-    # A fixed override replaces the races' own field-size mix (for
-    # controlled tests against a single known n).
-    return histogram if theory_field_size is None else FieldSizeHistogram({theory_field_size: 1})
-
-
 def _rank_rows(table: RaceTable, selector, among) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The selector's rank in the races of mask ``among`` that have it.
 
@@ -134,9 +141,7 @@ def _rank_rows(table: RaceTable, selector, among) -> tuple[np.ndarray, np.ndarra
     return usable, rows, (table.winner_rank == rank)[usable]
 
 
-def _bucket_report(
-    table: RaceTable, bucket: FieldSizeBucket, theory_field_size: int | None
-) -> BucketReport:
+def _bucket_report(table: RaceTable, bucket: FieldSizeBucket) -> BucketReport:
     """Every rank's cells and the winner cells of one nonempty bucket.
 
     A fixed rank k only uses races with field size >= k; if the bucket holds
@@ -150,7 +155,7 @@ def _bucket_report(
         count = int(usable.sum())
         if count:
             q = table.implied_odds[picked]
-            hist = _theory_histogram(FieldSizeHistogram.from_sizes(sizes[usable]), theory_field_size)
+            hist = FieldSizeHistogram.from_sizes(sizes[usable])
             values = (
                 _mean_cell(q, ""),
                 _freq_cell(int(won.sum()), count),
@@ -167,7 +172,7 @@ def _bucket_report(
     winner_rows = (table.offsets[:-1] + table.winner_rank - 1)[in_bucket]
     cells["winner", "winner_odds_mean"] = _mean_cell(table.implied_odds[winner_rows], "")
     cells["winner", "winner_segment_mean_theory"] = Cell(
-        mixture(_theory_histogram(histogram, theory_field_size), "winner_segment_mean"), None, races
+        mixture(histogram, "winner_segment_mean"), None, races
     )
     return BucketReport(
         bucket=bucket,
@@ -178,53 +183,43 @@ def _bucket_report(
     )
 
 
-def eccdf_per_rank(
-    table: RaceTable,
-    selector,
-    grid: Sequence[float] | None = None,
-    theory_field_size: int | None = None,
-) -> tuple[EccdfCurve, EccdfCurve]:
+def eccdf_per_rank(table: RaceTable, selector) -> tuple[EccdfCurve, EccdfCurve]:
     """Pooled empirical survival of Q_(k) plus the mixture theory curve.
 
     All field sizes are pooled; the theory curve weights each per-n survival
-    by that n's share of the selected races.  The default grid is the sorted
-    set of observed values.
+    by that n's share of the selected races.  Both curves are evaluated at
+    the sorted set of observed values.
     """
     usable, picked, _ = _rank_rows(table, selector, True)
     if not usable.any():
         raise ValueError(f"empty selection: no races usable for rank {selector!r}")
-    empirical = eccdf(table.implied_odds[picked], grid)
-    hist = _theory_histogram(FieldSizeHistogram.from_sizes(table.field_size[usable]), theory_field_size)
+    empirical = eccdf(table.implied_odds[picked])
+    hist = FieldSizeHistogram.from_sizes(table.field_size[usable])
     theory = EccdfCurve(empirical.x, mixture_ccdf(hist, selector, empirical.x))
     return empirical, theory
 
 
 def build_report(
-    table: RaceTable,
-    spec: BucketSpec | None = None,
-    min_field_size: int = 5,
-    renormalized: bool = False,
-    theory_field_size: int | None = None,
+    table: RaceTable, min_field_size: int = 5, renormalized: bool = False
 ) -> AnalysisReport:
-    """Assemble the full per-bucket report from ranked races.
+    """Assemble the per-bucket report from ranked races.
 
-    Races below ``min_field_size`` are dropped before bucketing; a bucket
-    with no races is left out of the report.
+    Races below ``min_field_size`` are dropped.  Bucket ``all`` holds every
+    race kept; a size bucket with no races is left out of the report.
     """
-    if spec is None:
-        spec = BucketSpec.default(min_field_size)
+    if min_field_size < 1:
+        raise ValueError(f"min_field_size must be >= 1, got {min_field_size}")
     kept = table.select(table.field_size >= min_field_size)
     if not len(kept):
         raise ValueError(f"no races with field size >= {min_field_size}")
-    buckets = tuple(
-        _bucket_report(kept, bucket, theory_field_size)
-        for bucket in spec.buckets
-        if bucket.contains(kept.field_size).any()
+    buckets = (
+        FieldSizeBucket("all", min_field_size),
+        FieldSizeBucket("small", 5, 7),
+        FieldSizeBucket("medium", 8, 10),
+        FieldSizeBucket("large", 11),
     )
-    if not buckets:
-        names = ", ".join(f"{b.name!r} ({b.label()})" for b in spec.buckets)
-        raise ValueError(f"empty selection: no races in any bucket: {names}")
-    return AnalysisReport(buckets, min_field_size, renormalized)
+    buckets = tuple(_bucket_report(kept, b) for b in buckets if b.contains(kept.field_size).any())
+    return AnalysisReport(buckets, renormalized)
 
 
 # --- serialization ---------------------------------------------------------
@@ -282,7 +277,7 @@ def report_to_json_text(report: AnalysisReport, digits: int = 6) -> str:
             "winner": ranks["winner"],
         })
     payload = {
-        "min_field_size": report.min_field_size,
+        "min_field_size": report.buckets[0].bucket.lo,  # bucket all starts at the cut
         "renormalized": report.renormalized,
         "buckets": buckets,
     }

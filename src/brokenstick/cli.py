@@ -65,6 +65,16 @@ def _parse_selector(text: str):
     return k
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not value >= 0.0:  # NaN too: no gap compares greater than NaN
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -300,10 +310,7 @@ def cmd_analyze(args) -> int:
     table = racedata.rank_races(races, renormalize=args.renormalize)
     kept = table.select(table.field_size >= args.min_field_size)
     report = analysis.build_report(
-        kept,
-        min_field_size=args.min_field_size,
-        renormalized=args.renormalize,
-        theory_field_size=args.n_fixed,
+        kept, min_field_size=args.min_field_size, renormalized=args.renormalize
     )
     (outdir / "report.csv").write_text(
         analysis.report_to_csv_text(report, args.digits), encoding="utf-8"
@@ -314,9 +321,7 @@ def cmd_analyze(args) -> int:
 
     for selector in args.eccdf_ranks:
         label = analysis.selector_label(selector)
-        empirical, theory = analysis.eccdf_per_rank(
-            kept, selector, theory_field_size=args.n_fixed
-        )
+        empirical, theory = analysis.eccdf_per_rank(kept, selector)
         (outdir / f"eccdf_rank{label}_empirical.csv").write_text(
             analysis.curve_to_csv_text(empirical), encoding="utf-8"
         )
@@ -409,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_parse_floats, action="extend",
                    help="comma-separated ccdf evaluation points; may repeat")
     p.add_argument("--grid", type=int, default=20)
-    p.add_argument("--max-se", type=float, default=5.0, help="exit 2 if any gap exceeds this")
+    p.add_argument("--max-se", type=_parse_tolerance, default=5.0, help="exit 2 if any gap exceeds this")
     _add_output_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -436,16 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide implied odds by their sum before ranking")
     p.add_argument("--digits", type=int, default=6)
     p.add_argument("--eccdf-ranks", type=lambda t: [_parse_selector(s) for s in t.split(",")],
-                   default=[1, 2, 3, 4, "longshot"])
-    p.add_argument("--n-fixed", type=int,
-                   help="compute theory columns for this fixed field size instead of "
-                        "the input's own histogram")
+                   default=analysis.RANK_SELECTORS)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="diff two report JSON files")
     p.add_argument("report_a")
     p.add_argument("report_b")
-    p.add_argument("--threshold", type=float, default=5.0, help="exit 2 above this many SE")
+    p.add_argument("--threshold", type=_parse_tolerance, default=5.0, help="exit 2 above this many SE")
     _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -35,8 +35,6 @@ __all__ = [
     "Races",
     "RaceTable",
     "Rejection",
-    "FieldSizeBucket",
-    "BucketSpec",
     "parse_races",
     "rank_races",
     "write_races_csv",
@@ -205,13 +203,15 @@ def parse_races(
     input row is accounted for: each distinct non-empty race id is either
     accepted or carried by exactly one rejection, and each row without a
     race id is one rejection of its own (race id None, with the row's line
-    number).
+    number).  ``overround_delta`` must be >= 0 (``inf`` accepts any sum).
 
     The rows stream once into columns: each field but the odds becomes a
     code into one table of the distinct texts, the odds are read by
     ``float`` as they stream, and every check after that is an array
     operation over all rows or all races.
     """
+    if not overround_delta >= 0.0:  # NaN too, which would reject every race
+        raise ValueError(f"overround_delta must be >= 0, got {overround_delta}")
     from array import array  # here, so importing the package does not load it
 
     width = len(CSV_COLUMNS)
@@ -406,53 +406,3 @@ def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
         winner_rank=np.flatnonzero(won) - offsets[:-1] + 1,
         tie_count=np.bincount(race[1:][ties], minlength=len(races)),
     )
-
-
-
-@dataclass(frozen=True)
-class FieldSizeBucket:
-    """Named inclusive field-size range; ``hi=None`` means unbounded."""
-
-    name: str
-    lo: int
-    hi: int | None = None
-
-    def __post_init__(self):
-        if self.lo < 1:
-            raise ValueError(f"bucket {self.name!r}: lo must be >= 1")
-        if self.hi is not None and self.hi < self.lo:
-            raise ValueError(f"bucket {self.name!r}: hi={self.hi} below lo={self.lo}")
-
-    def contains(self, n):
-        """Whether field size n falls in the bucket; elementwise on arrays."""
-        return (n >= self.lo) & (self.hi is None or n <= self.hi)
-
-    def label(self) -> str:
-        if self.hi is None:
-            return f"n>={self.lo}"
-        if self.hi == self.lo:
-            return f"n={self.lo}"
-        return f"{self.lo}<=n<={self.hi}"
-
-
-@dataclass(frozen=True)
-class BucketSpec:
-    buckets: tuple[FieldSizeBucket, ...]
-
-    def __post_init__(self):
-        names = [b.name for b in self.buckets]
-        if len(set(names)) != len(names):
-            raise ValueError("bucket names must be unique")
-        if not self.buckets:
-            raise ValueError("bucket spec must contain at least one bucket")
-
-    @classmethod
-    def default(cls, min_field_size: int = 5) -> "BucketSpec":
-        return cls(
-            (
-                FieldSizeBucket("all", min_field_size, None),
-                FieldSizeBucket("small", 5, 7),
-                FieldSizeBucket("medium", 8, 10),
-                FieldSizeBucket("large", 11, None),
-            )
-        )

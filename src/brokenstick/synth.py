@@ -39,8 +39,8 @@ class SyntheticDatasetConfig:
     def __post_init__(self):
         if self.race_count < 1:
             raise ValueError(f"race_count must be >= 1, got {self.race_count}")
-        if self.odds_noise < 0.0:
-            raise ValueError(f"odds_noise must be >= 0, got {self.odds_noise}")
+        if not 0.0 <= self.odds_noise < float("inf"):
+            raise ValueError(f"odds_noise must be finite and >= 0, got {self.odds_noise}")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}")
         self._validate_field_sizes()

@@ -23,18 +23,10 @@ from brokenstick.orderstats import (
     pooled_conditional_mean_given_win,
     quantile_grid,
 )
-from brokenstick.racedata import (
-    BucketSpec,
-    FieldSizeBucket,
-    RaceEntry,
-    RaceRecord,
-    rank_races,
-)
-from brokenstick.stats import EccdfCurve
+from brokenstick.racedata import RaceEntry, RaceRecord, rank_races
+from brokenstick.stats import EccdfCurve, empirical_survival
 from brokenstick.synth import SyntheticDatasetConfig, generate_synthetic_dataset
 from race_columns import races_of
-
-ALL = FieldSizeBucket("all", 5)
 
 
 def _race(race_id, odds, winner_index):
@@ -51,11 +43,9 @@ def _synthetic_races(count, sizes, seed, noise=0.0):
     return rank_races(generate_synthetic_dataset(config))
 
 
-def _bucket(races, bucket=ALL, theory_field_size=None):
-    """The report of a single bucket holding every race of size >= bucket.lo."""
-    spec = BucketSpec((bucket,))
-    report = build_report(races, spec, bucket.lo, theory_field_size=theory_field_size)
-    return report.buckets[0]
+def _bucket(races, min_field_size=5):
+    """The report of bucket ``all``: every race of size >= min_field_size."""
+    return build_report(races, min_field_size).buckets[0]
 
 
 def test_single_race_win_frequencies():
@@ -121,16 +111,11 @@ def test_winner_odds_average_single_race():
     assert theory.value == pytest.approx(2.0 / 6.0)
 
 
-def test_empty_bucket_raises_with_name():
-    races = _synthetic_races(10, [5] * 10, seed=1)
-    with pytest.raises(ValueError, match="large"):
-        build_report(races, BucketSpec((FieldSizeBucket("large", 11),)))
-
-
 def test_cells_keep_writing_order_with_an_absent_rank():
     # field sizes 2 and 3 only: rank 4 has no races and its cells are absent
     races = _synthetic_races(40, [2, 3] * 20, seed=8)
-    report = build_report(races, BucketSpec((FieldSizeBucket("small", 2),)), 2)
+    report = build_report(races, 2)
+    assert [b.bucket.name for b in report.buckets] == ["all"]  # no race reaches small's 5
     keys = [(label, statistic)
             for label in ("1", "2", "3", "4", "longshot") for statistic in RANK_STATISTICS]
     keys += [("winner", "winner_odds_mean"), ("winner", "winner_segment_mean_theory")]
@@ -140,7 +125,7 @@ def test_cells_keep_writing_order_with_an_absent_rank():
         "no races with field size >= 4"
     }
     rows = list(csv.reader(report_to_csv_text(report).splitlines()))[1:]
-    assert [tuple(row[:3]) for row in rows] == [("small", *key) for key in keys]
+    assert [tuple(row[:3]) for row in rows] == [("all", *key) for key in keys]
 
 
 def test_report_completeness():
@@ -203,41 +188,35 @@ def test_min_field_size_drops_races():
     assert report_all.buckets[0].races == 20
 
 
-def test_theory_field_size_override():
-    races = _synthetic_races(50, [5, 9] * 25, seed=3)
-    cells = _bucket(races, theory_field_size=9).cells
-    for sel in RANK_SELECTORS:
-        rank = 9 if sel == "longshot" else sel
-        assert cells[str(sel), "segment_mean_theory"].value == pytest.approx(
-            mean_kth_largest(9, rank), abs=1e-12
-        )
-
-
 def test_eccdf_trivia():
     races = _synthetic_races(300, [7] * 300, seed=10)
     empirical, theory = eccdf_per_rank(races, 1)
-    # all implied odds are positive, so survival at 0 is 1
-    from brokenstick.stats import empirical_survival
-
+    # both curves sit on the sorted distinct favourite odds
     values = races.implied_odds[races.offsets[:-1]]
+    assert np.array_equal(empirical.x, np.unique(values))
+    assert np.array_equal(theory.x, empirical.x)
+    # all implied odds are positive, so survival at 0 is 1; none exceeds the largest
     assert empirical_survival(values, [0.0])[0] == 1.0
-    # the largest segment cannot exceed 1, so theory vanishes at x = 1
-    grid = np.array([0.2, 1.0])
-    _, theory_grid = eccdf_per_rank(races, 1, grid=grid)
-    assert theory_grid.survival[-1] == 0.0
+    assert empirical.survival[-1] == 0.0
     assert np.all(np.diff(empirical.survival) <= 0)
+    assert np.all(np.diff(theory.survival) <= 0)
+    assert np.all((theory.survival > 0) & (theory.survival <= 1))
 
 
 def test_eccdf_pooling_matches_single_field_size_estimator():
     # with one field size, the pooled curve is an MC estimate of the plain law
     races = _synthetic_races(4000, [7] * 4000, seed=29)
+    empirical, theory = eccdf_per_rank(races, 2)
+    assert np.allclose(theory.survival, ccdf_kth_largest_grid(7, 2, empirical.x))
+    # the empirical step curve read at a quantile grid
     xs = quantile_grid(7, 2, 10)
-    empirical, theory = eccdf_per_rank(races, 2, grid=xs)
-    assert np.allclose(theory.survival, ccdf_kth_largest_grid(7, 2, xs))
+    step = np.searchsorted(empirical.x, xs, side="right") - 1
+    pipeline = np.where(step >= 0, empirical.survival[step], 1.0)
+    assert np.array_equal(pipeline, empirical_survival(races.implied_odds[races.offsets[:-1] + 1], xs))
     mc_p, mc_se = estimate_ccdf(7, 2, xs, SimConfig(samples=4000, seed=77))
-    pipeline_se = np.sqrt(empirical.survival * (1 - empirical.survival) / 4000)
+    pipeline_se = np.sqrt(pipeline * (1 - pipeline) / 4000)
     combined = np.sqrt(mc_se**2 + pipeline_se**2)
-    assert np.all(np.abs(empirical.survival - mc_p) <= 5 * combined)
+    assert np.all(np.abs(pipeline - mc_p) <= 5 * combined)
 
 
 def test_noise_free_market_is_efficient():
@@ -296,7 +275,7 @@ def test_pipeline_recovers_fixed_field_law():
 def test_conditional_mean_two_horse_races():
     # winner-conditioned favourite odds converge to 7/9 at n = 2
     races = _synthetic_races(100_000, [2] * 100_000, seed=77)
-    cells = _bucket(races, FieldSizeBucket("pairs", 2)).cells
+    cells = _bucket(races, 2).cells
     q_win, theory = cells["1", "implied_odds_given_win"], cells["1", "segment_mean_given_win_theory"]
     assert theory.value == pytest.approx(7 / 9, abs=1e-12)
     assert abs(q_win.value - 7 / 9) <= 3 * q_win.se

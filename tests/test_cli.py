@@ -140,6 +140,15 @@ class TestSimulate:
         assert code == EXIT_TOLERANCE
         assert "tolerance breach" in err
 
+    @pytest.mark.parametrize("max_se", ["nan", "-1"])
+    def test_max_se_must_be_a_tolerance(self, capsys, max_se):
+        code, _, err = run(
+            capsys, "simulate", "--n", "5", "--k", "2", "--stat", "mean",
+            "--samples", "100", "--max-se", max_se,
+        )
+        assert code == EXIT_USAGE
+        assert f"tolerance must be >= 0, got '{max_se}'" in err
+
     def test_ccdf_gap_at_sample_se_zero_uses_binomial_se(self, capsys, monkeypatch):
         # all 3000 draws survive x = 0.01 (exact 0.9999988), so the sample SE is
         # 0 and the 1.2e-6 gap is measured in the binomial SE at the exact value
@@ -239,6 +248,17 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_odds_noise_rejected(self, capsys, tmp_path, noise):
+        path = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "synth", "--races", "5", "--n-fixed", "5", "--odds-noise", noise,
+            "--output", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert "odds_noise must be finite and >= 0" in err
+        assert not path.exists()
+
     def test_field_law_flags_are_exclusive(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "synth", "--races", "5", "--n-fixed", "5", "--n-min", "5",
@@ -300,20 +320,24 @@ class TestAnalyze:
         sizes = payload["buckets"][0]["field_size_counts"]
         assert "4" not in sizes
 
-    def test_fixed_theory_field_size(self, capsys, tmp_path, race_csv):
-        outdir = tmp_path / "out_fixed"
-        code, _, _ = run(
-            capsys, "analyze", "--input", str(race_csv), "--output-dir", str(outdir),
-            "--n-fixed", "9",
+    def test_min_field_size_below_one(self, capsys, tmp_path, race_csv):
+        code, _, err = run(
+            capsys, "analyze", "--input", str(race_csv), "--output-dir", str(tmp_path / "out0"),
+            "--min-field-size", "0",
         )
-        assert code == EXIT_OK
-        payload = json.loads((outdir / "report.json").read_text())
-        from brokenstick.orderstats import mean_kth_largest
+        assert code == EXIT_USAGE
+        assert err == "error: min_field_size must be >= 1, got 0\n"
 
-        for bucket in payload["buckets"]:
-            row = bucket["ranks"][0]
-            cell = row["statistics"]["segment_mean_theory"]
-            assert cell["value"] == pytest.approx(mean_kth_largest(9, 1), abs=1e-6)
+    @pytest.mark.parametrize("delta", ["nan", "-0.1"])
+    def test_overround_delta_not_a_band(self, capsys, tmp_path, race_csv, delta):
+        outdir = tmp_path / "out_delta"
+        code, _, err = run(
+            capsys, "analyze", "--input", str(race_csv), "--output-dir", str(outdir),
+            "--overround-delta", delta,
+        )
+        assert code == EXIT_USAGE
+        assert "overround_delta must be >= 0" in err
+        assert not outdir.exists()
 
     def test_race_past_survival_limit_rejected(self, capsys, tmp_path):
         rows = ["race_id,horse_id,decimal_odds,won"]
@@ -369,6 +393,14 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(a), str(b), "--threshold", "1e-9")
         assert code == EXIT_TOLERANCE
         assert "tolerance breach" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_threshold_must_be_a_tolerance(self, capsys, tmp_path, threshold):
+        a = self._analyzed(capsys, tmp_path, "a", seed=3)
+        b = self._analyzed(capsys, tmp_path, "b", seed=4)
+        code, _, err = run(capsys, "compare", str(a), str(b), "--threshold", threshold)
+        assert code == EXIT_USAGE
+        assert f"tolerance must be >= 0, got '{threshold}'" in err
 
     def test_noisy_market_diverges_from_clean(self, capsys, tmp_path):
         # same seed means identical field sizes, so theory cells agree and

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brokenstick.analysis import build_report
+from brokenstick.analysis import FieldSizeBucket, build_report
 from brokenstick.orderstats import SURVIVAL_MAX_N, FieldSizeHistogram
 from brokenstick.racedata import (
     DEFAULT_OVERROUND_DELTA,
-    BucketSpec,
     INVARIANTS,
-    FieldSizeBucket,
     RaceEntry,
     RaceRecord,
     parse_races,
@@ -75,6 +73,15 @@ def test_overround_out_of_band_rejected():
     assert rejections[0].reason == "overround out of band"
     # a wider band accepts the same race
     records, rejections = parse_races(text.encode(), overround_delta=0.30)
+    assert len(records) == 1 and rejections == []
+
+
+def test_overround_delta_must_be_a_band():
+    text = HEADER + "r1,h1,2,0\nr1,h2,2,1\nr1,h3,4,0\n"
+    for delta in (math.nan, -0.1):
+        with pytest.raises(ValueError, match="overround_delta must be >= 0"):
+            parse_races(text.encode(), overround_delta=delta)
+    records, rejections = parse_races(text.encode(), overround_delta=math.inf)
     assert len(records) == 1 and rejections == []
 
 
@@ -248,22 +255,32 @@ def test_invariant_checker_passes_valid_record():
 
 
 class TestBuckets:
+    @staticmethod
+    def _races(*sizes):
+        """One race per field size; the favourite wins each."""
+        return rank_races(races_of([
+            _record(f"r{i}", [(f"h{j}", float(n), j == 1) for j in range(1, n + 1)])
+            for i, n in enumerate(sizes)
+        ]))
+
     def test_default_spec(self):
-        spec = BucketSpec.default()
-        names = [b.name for b in spec.buckets]
-        assert names == ["all", "small", "medium", "large"]
-        all_bucket = spec.buckets[0]
+        def shapes(report):
+            return [(b.bucket.name, b.bucket.lo, b.bucket.hi) for b in report.buckets]
+
+        report = build_report(self._races(4, 5, 9, 12))
+        assert shapes(report) == [
+            ("all", 5, None), ("small", 5, 7), ("medium", 8, 10), ("large", 11, None)
+        ]
+        all_bucket = report.buckets[0].bucket
         assert all_bucket.contains(5) and not all_bucket.contains(4)
-        assert spec.buckets[1].label() == "5<=n<=7"
-        assert spec.buckets[3].label() == "n>=11"
+        # the cut moves only bucket all
+        assert shapes(build_report(self._races(4, 5), 3)) == [("all", 3, None), ("small", 5, 7)]
 
     def test_bucket_validation(self):
-        with pytest.raises(ValueError):
-            FieldSizeBucket("bad", 7, 5)
-        with pytest.raises(ValueError):
-            FieldSizeBucket("bad", 0)
-        with pytest.raises(ValueError):
-            BucketSpec((FieldSizeBucket("a", 5), FieldSizeBucket("a", 8)))
+        with pytest.raises(ValueError, match="min_field_size must be >= 1, got 0"):
+            build_report(self._races(5), 0)
+        with pytest.raises(ValueError, match="no races with field size >= 6"):
+            build_report(self._races(5), 6)
 
     def test_contains_is_elementwise(self):
         sizes = np.array([4, 5, 7, 8, 12])
@@ -271,23 +288,10 @@ class TestBuckets:
         assert list(FieldSizeBucket("all", 5).contains(sizes)) == [0, 1, 1, 1, 1]
 
     def test_field_size_histogram_per_bucket(self):
-        races = rank_races(
-            races_of(
-                [
-                    _record("r1", [(f"h{i}", 5.0, i == 1) for i in range(1, 6)]),
-                    _record("r2", [(f"h{i}", 5.0, i == 1) for i in range(1, 6)]),
-                    _record("r3", [(f"h{i}", 9.0, i == 1) for i in range(1, 10)]),
-                ]
-            )
-        )
-
-        def histogram(bucket):
-            return build_report(races, BucketSpec((bucket,))).buckets[0].histogram
-
-        assert histogram(FieldSizeBucket("small", 5, 7)).counts == {5: 2}
-        assert histogram(FieldSizeBucket("all", 5)).counts == {5: 2, 9: 1}
-        with pytest.raises(ValueError, match="large"):
-            histogram(FieldSizeBucket("large", 11))
+        report = build_report(self._races(5, 5, 9))
+        histograms = {b.bucket.name: b.histogram.counts for b in report.buckets}
+        # a bucket without races is left out of the report
+        assert histograms == {"all": {5: 2, 9: 1}, "small": {5: 2}, "medium": {9: 1}}
 
 
 def test_csv_round_trip_preserves_floats():

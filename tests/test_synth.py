@@ -29,6 +29,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticDatasetConfig(race_count=1, field_sizes=[5], odds_noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_noise_finite(self, noise):
+        with pytest.raises(ValueError, match="odds_noise must be finite and >= 0"):
+            SyntheticDatasetConfig(race_count=1, field_sizes=[5], odds_noise=noise)
+
 
 def test_generated_races_are_valid_and_efficient():
     config = SyntheticDatasetConfig(race_count=50, field_sizes=[6] * 50, seed=4)
