@@ -298,6 +298,29 @@ def _rejections_csv(rejections) -> str:
     return buf.getvalue()
 
 
+def _write_complete(outdir: Path, files) -> None:
+    """Write each (name, text) of ``files`` into ``outdir``, all or none.
+
+    Each text is written under a temporary name as soon as it is made, so
+    only one is held at a time.  The files move into place only once every
+    text is written; if making or writing one fails, the ones already
+    written are removed and the error propagates.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, text in files:
+            temporary = outdir / f".{name}.{os.getpid()}.tmp"
+            staged.append((temporary, outdir / name))
+            temporary.write_text(text, encoding="utf-8")
+            del text  # not held while the next one is made
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+    for temporary, final in staged:
+        os.replace(temporary, final)
+
+
 def cmd_analyze(args) -> int:
     races, rejections = racedata.parse_races(args.input, overround_delta=args.overround_delta)
     outdir = Path(args.output_dir)
@@ -312,23 +335,24 @@ def cmd_analyze(args) -> int:
     report = analysis.build_report(
         kept, min_field_size=args.min_field_size, renormalized=args.renormalize
     )
-    (outdir / "report.csv").write_text(
-        analysis.report_to_csv_text(report, args.digits), encoding="utf-8"
-    )
-    (outdir / "report.json").write_text(
-        analysis.report_to_json_text(report, args.digits), encoding="utf-8"
-    )
+    selectors = args.eccdf_ranks
+    if selectors is None:  # the default: every rank that some kept race reaches
+        longest = int(kept.field_size.max())
+        selectors = [s for s in analysis.RANK_SELECTORS if s == "longshot" or s <= longest]
+        for selector in analysis.RANK_SELECTORS:
+            if selector not in selectors:
+                sys.stderr.write(f"no race reaches rank {selector}: its curves are not written\n")
 
-    for selector in args.eccdf_ranks:
-        label = analysis.selector_label(selector)
-        empirical, theory = analysis.eccdf_per_rank(kept, selector)
-        (outdir / f"eccdf_rank{label}_empirical.csv").write_text(
-            analysis.curve_to_csv_text(empirical), encoding="utf-8"
-        )
-        (outdir / f"eccdf_rank{label}_theory.csv").write_text(
-            analysis.curve_to_csv_text(theory), encoding="utf-8"
-        )
+    def files():
+        yield "report.csv", analysis.report_to_csv_text(report, args.digits)
+        yield "report.json", analysis.report_to_json_text(report, args.digits)
+        for selector in selectors:
+            label = analysis.selector_label(selector)
+            empirical, theory = analysis.eccdf_per_rank(kept, selector)
+            yield f"eccdf_rank{label}_empirical.csv", analysis.curve_to_csv_text(empirical)
+            yield f"eccdf_rank{label}_theory.csv", analysis.curve_to_csv_text(theory)
 
+    _write_complete(outdir, files())
     print(f"accepted {len(races)} races, rejected {len(rejections)}; reports in {outdir}")
     for bucket_report in report.buckets:
         print(f"  bucket {bucket_report.bucket.name}: {bucket_report.races} races")
@@ -441,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide implied odds by their sum before ranking")
     p.add_argument("--digits", type=int, default=6)
     p.add_argument("--eccdf-ranks", type=lambda t: [_parse_selector(s) for s in t.split(",")],
-                   default=analysis.RANK_SELECTORS)
+                   help="survival curves to write (default: 1,2,3,4,longshot, "
+                   "skipping a rank no kept race reaches)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="diff two report JSON files")

@@ -10,6 +10,15 @@ valid quote is > 1 and its reciprocal is the implied winning probability.
 ``won`` is 0 or 1 with exactly one winner per race.  Races violating an
 invariant are excluded and logged, never fatal: parsing always returns the
 accepted races together with the rejection log.
+
+The only Python code run per row is the loop that appends each row's
+fields to one flat list per block of rows.  Each of race id, horse id and
+``won`` is then coded per block through its own table of texts numbered by
+first appearance, the odds go through one ``float`` pass, and every check
+after that is an array operation.  Sorts are on integer codes narrowed to
+the smallest unsigned type, where numpy's stable sort is a radix sort up to
+16 bits.  The writer escapes each distinct id once through ``csv.writer``
+and joins the rows of many races in one ``str.join``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ import csv
 import dataclasses
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import IO
 
@@ -59,6 +70,14 @@ INVARIANTS = (
     "overround out of band",
     f"more than {SURVIVAL_MAX_N} entries",
 )
+
+# Rows taken from the CSV reader at a time by ``parse_races``.  Blocks of
+# 256-512 rows read as fast as a bare reader loop; at 2048 rows and more the
+# reader's own objects outgrow the cache and reading takes up to twice as long.
+_BLOCK_ROWS = 256
+
+# Races whose rows ``races_to_csv_text`` joins at a time.
+_WRITE_RACES = 1024
 
 
 @dataclass(frozen=True)
@@ -159,27 +178,37 @@ def _race_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     starts = offsets[:-1][longest_first]
     longer = len(sizes) - np.searchsorted(np.sort(sizes), np.arange(sizes.max(initial=0)), "right")
     total = np.zeros(len(sizes))
-    for j, count in enumerate(longer.tolist()):
-        total[:count] += values[starts[:count] + j]
+    for j, n in enumerate(longer.tolist()):
+        total[:n] += values[starts[:n] + j]
     sums = np.empty_like(total)
     sums[longest_first] = total
     return sums
+
+
+def _narrow(codes: np.ndarray, bound: int) -> np.ndarray:
+    """Codes in [0, bound) as the smallest unsigned type that holds them.
+
+    numpy's stable sort is a radix sort for types of up to 16 bits.
+    """
+    return codes.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
 
 
 def _first_failed_invariant(race, sizes, horse, won, odds, overround_delta) -> np.ndarray:
     """Per race, 1 + the index in ``INVARIANTS`` of the first check it fails, or 0.
 
     Row j of ``horse`` (id codes), ``won`` and ``odds`` belongs to race
-    ``race[j]``; race i has ``sizes[i]`` rows and they are consecutive.
+    ``race[j]``; race i has ``sizes[i]`` rows and they are consecutive.  The
+    codes come narrowed by ``_narrow``, so the sort is on narrow keys.
     """
     by_id = np.lexsort((horse, race))
-    pairs = (horse[by_id][1:] == horse[by_id][:-1]) & (race[by_id][1:] == race[by_id][:-1])
+    horse, race_by_id = horse[by_id], race[by_id]
+    pairs = (horse[1:] == horse[:-1]) & (race_by_id[1:] == race_by_id[:-1])
     winners = np.bincount(race[won], minlength=len(sizes))
     with np.errstate(divide="ignore", invalid="ignore"):  # bad odds fail before the band
         total = _race_sums(1.0 / odds, np.concatenate(([0], np.cumsum(sizes))))
     failed = (
         sizes < 2,
-        np.bincount(race[by_id][1:][pairs], minlength=len(sizes)) > 0,
+        np.bincount(race_by_id[1:][pairs], minlength=len(sizes)) > 0,
         np.bincount(race[~(np.isfinite(odds) & (odds > 1.0))], minlength=len(sizes)) > 0,
         winners > 1,
         winners == 0,
@@ -187,6 +216,18 @@ def _first_failed_invariant(race, sizes, horse, won, odds, overround_delta) -> n
         sizes > SURVIVAL_MAX_N,
     )
     return np.select(failed, np.arange(1, len(INVARIANTS) + 1), 0)
+
+
+def _first_appearance_ids(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's id, with ids numbered in order of first appearance of the
+    stripped text, and the stripped texts in id order.
+
+    Ids are compared as stripped Python strings (a numpy str array would
+    drop trailing NULs).
+    """
+    ids = defaultdict(count().__next__)
+    of = np.fromiter(map(ids.__getitem__, map(str.strip, texts)), np.int64, len(texts))
+    return _narrow(of, len(ids)), np.array(list(ids), dtype=object)
 
 
 def parse_races(
@@ -205,20 +246,22 @@ def parse_races(
     race id is one rejection of its own (race id None, with the row's line
     number).  ``overround_delta`` must be >= 0 (``inf`` accepts any sum).
 
-    The rows stream once into columns: each field but the odds becomes a
-    code into one table of the distinct texts, the odds are read by
-    ``float`` as they stream, and every check after that is an array
-    operation over all rows or all races.
+    The reader's rows are taken ``_BLOCK_ROWS`` at a time into one flat list
+    of fields.  Per block, each of race id, horse id and ``won`` becomes a
+    code into its own table of distinct texts, numbered by first appearance,
+    and the odds are read by one ``float`` pass; every check after that is
+    an array operation over all rows or all races.
     """
     if not overround_delta >= 0.0:  # NaN too, which would reject every race
         raise ValueError(f"overround_delta must be >= 0, got {overround_delta}")
     from array import array  # here, so importing the package does not load it
 
     width = len(CSV_COLUMNS)
-    texts: dict[str, int] = {}  # each distinct field text -> its code
-    code = texts.setdefault
-    race, horse, won = array("q"), array("q"), array("q")
-    odds, lines = array("d"), array("q")
+    columns = (0, 1, 3)  # race id, horse id, won: each coded through its own table
+    tables = [defaultdict(count().__next__) for _ in columns]  # text -> code
+    codes = [array("q") for _ in columns]
+    odds = array("d")
+    blanks = array("q")  # per blank line, the number of rows before it
     width_errors: dict[int, str] = {}  # row -> message, for rows not `width` fields wide
     odds_errors: dict[int, str] = {}  # row -> message of float() on its odds
     with _open_source(source) as stream:
@@ -228,107 +271,125 @@ def parse_races(
             raise ValueError(
                 f"expected header {','.join(CSV_COLUMNS)!r}, got {header!r}"
             )
-        for line, row in enumerate(reader, start=2):
-            if len(row) == width:
-                race.append(code(row[0], len(texts)))
-                horse.append(code(row[1], len(texts)))
-                won.append(code(row[3], len(texts)))
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            fields: list[str] = []
+            for row in block:
+                if len(row) == width:
+                    fields += row
+                elif not row or (len(row) == 1 and not row[0].strip()):
+                    blanks.append(len(odds) + len(fields) // width)
+                else:  # a placeholder that poisons its race
+                    width_errors[len(odds) + len(fields) // width] = (
+                        f"expected {width} fields, got {len(row)}"
+                    )
+                    fields += (row[0], "", "nan", "")
+            for c, table, column in zip(columns, tables, codes):
+                column.extend(map(table.__getitem__, fields[c::width]))
+            texts = iter(fields[2::width])
+            while True:  # float() stops at a bad text; log it and go on after it
                 try:
-                    odds.append(float(row[2]))
+                    odds.extend(map(float, texts))
+                    break
                 except ValueError as exc:
+                    odds_errors[len(odds)] = str(exc)
                     odds.append(math.nan)
-                    odds_errors[len(lines)] = str(exc)
-            elif not row or (len(row) == 1 and not row[0].strip()):
-                continue  # blank line
-            else:
-                race.append(code(row[0], len(texts)))
-                horse.append(code("", len(texts)))
-                won.append(code("", len(texts)))
-                odds.append(math.nan)
-                width_errors[len(lines)] = f"expected {width} fields, got {len(row)}"
-            lines.append(line)
 
-    # Ids and flags are compared as stripped Python strings, through one id
-    # per distinct stripped text (numpy str arrays drop trailing NULs).
-    stripped = [t.strip() for t in texts]
-    ids: dict[str, int] = {}
-    id_of = np.fromiter((ids.setdefault(s, len(ids)) for s in stripped), np.int64, len(stripped))
-    names = np.array(list(ids), dtype=object)
-    empty = names == ""
-    race = id_of[np.frombuffer(race, np.int64)]
-    horse = id_of[np.frombuffer(horse, np.int64)]
-    won_code = np.frombuffer(won, np.int64)
-    won = np.array([s == "1" for s in stripped], dtype=bool)[won_code]
+    race_of, race_names = _first_appearance_ids(tables[0])
+    horse_of, horse_names = _first_appearance_ids(tables[1])
+    flags = [t.strip() for t in tables[2]]
+    race = race_of[np.frombuffer(codes[0], np.int64)]
+    horse = horse_of[np.frombuffer(codes[1], np.int64)]
+    won_code = _narrow(np.frombuffer(codes[2], np.int64), len(flags))
+    del codes  # the narrow columns replace the text codes
+    won = np.array([s == "1" for s in flags], dtype=bool)[won_code]
     odds = np.frombuffer(odds)
+    race_empty, horse_empty = race_names == "", horse_names == ""
 
     # Malformed rows, by the row checks in order: width, ids, odds, won.
     def malformed(row: int) -> str:
         if row in width_errors:
             return width_errors[row]
-        if empty[race[row]] or empty[horse[row]]:
+        if race_empty[race[row]] or horse_empty[horse[row]]:
             return "empty race_id or horse_id"
         if row in odds_errors:
             return odds_errors[row]
-        return f"won must be 0 or 1, got {stripped[won_code[row]]!r}"
+        return f"won must be 0 or 1, got {flags[won_code[row]]!r}"
 
-    bad = empty[race] | empty[horse]
-    bad |= ~np.array([s in ("0", "1") for s in stripped], dtype=bool)[won_code]
+    bad = race_empty[race] | horse_empty[horse]
+    bad |= ~np.array([s in ("0", "1") for s in flags], dtype=bool)[won_code]
     bad[np.fromiter(width_errors, np.int64, len(width_errors))] = True
     bad[np.fromiter(odds_errors, np.int64, len(odds_errors))] = True
     bad_rows = np.flatnonzero(bad)
-    logged = empty[race[bad_rows]]  # every row without a race id, and
+    logged = race_empty[race[bad_rows]]  # every row without a race id, and
     logged[np.unique(race[bad_rows], return_index=True)[1]] = True  # each race's first
+    logged = bad_rows[logged]
+    lines = logged + 2 + np.searchsorted(np.frombuffer(blanks, np.int64), logged, "right")
     rejections = [
-        Rejection(names[race[row]] or None, f"malformed row: {malformed(row)}", lines[row])
-        for row in bad_rows[logged].tolist()
+        Rejection(race_names[race[row]] or None, f"malformed row: {malformed(row)}", line)
+        for row, line in zip(logged.tolist(), lines.tolist())
     ]
 
-    # The unpoisoned races in order of first appearance, each with its rows
-    # in input order.
-    ids_seen, first_row = np.unique(race, return_index=True)
-    poisoned = empty.copy()
+    # The unpoisoned races: ids count in order of first appearance, so in id
+    # order they are in input order.  Each keeps its rows in input order.
+    poisoned = race_empty.copy()
     poisoned[race[bad_rows]] = True
-    kept = ids_seen[np.argsort(first_row)]
-    kept = kept[~poisoned[kept]]
-    index = np.full(len(names), -1)
-    index[kept] = np.arange(len(kept))
-    race = index[race]
-    rows = np.flatnonzero(race >= 0)
+    kept = np.flatnonzero(~poisoned)
+    sizes = np.bincount(race, minlength=len(race_names))[kept]
+    rows = np.flatnonzero(~poisoned[race])
     rows = rows[np.argsort(race[rows], kind="stable")]
-    race, horse, won, odds = race[rows], horse[rows], won[rows], odds[rows]
-    sizes = np.bincount(race, minlength=len(kept))
+    race = np.repeat(_narrow(np.arange(len(kept)), len(kept)), sizes)
+    horse, won, odds = horse[rows], won[rows], odds[rows]
     reason = _first_failed_invariant(race, sizes, horse, won, odds, overround_delta)
     rejections += [
-        Rejection(names[kept[i]], INVARIANTS[reason[i] - 1])
+        Rejection(race_names[kept[i]], INVARIANTS[reason[i] - 1])
         for i in np.flatnonzero(reason).tolist()
     ]
 
     ok = reason == 0
     rows = np.repeat(ok, sizes)
     accepted = Races(
-        race_ids=names[kept[ok]],
+        race_ids=race_names[kept[ok]],
         offsets=np.concatenate(([0], np.cumsum(sizes[ok]))),
-        horse_ids=names[horse[rows]],
+        horse_ids=horse_names[horse[rows]],
         decimal_odds=odds[rows],
         won=won[rows],
     )
     return accepted, rejections
 
 
-def races_to_csv_text(races: Races) -> str:
-    """Serialize races to the input CSV schema (full float precision)."""
+def _escaped(texts: list[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it as a field of a row, plus ","."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        zip(
-            np.repeat(races.race_ids, races.field_size).tolist(),
-            races.horse_ids.tolist(),
-            map(repr, races.decimal_odds.tolist()),
-            races.won.astype(np.int64).tolist(),
-        )
-    )
-    return out.getvalue()
+    lengths = list(map(csv.writer(out, lineterminator="\n").writerow, zip(texts, repeat(""))))
+    ends = np.cumsum(lengths, dtype=np.int64)
+    text = out.getvalue()  # each row is the field, "," and "\n"
+    return list(map(text.__getitem__, map(slice, (ends - lengths).tolist(), (ends - 1).tolist())))
+
+
+def races_to_csv_text(races: Races) -> str:
+    """Serialize races to the input CSV schema (full float precision).
+
+    Each distinct race id and horse id is escaped once, by ``csv.writer``
+    itself, so quoting is the writer's.  The rows are then joined
+    ``_WRITE_RACES`` races at a time, which holds one such batch of row
+    texts at once rather than all of them.
+    """
+    horse_cell = dict.fromkeys(races.horse_ids.tolist())
+    horse_cell = dict(zip(horse_cell, _escaped(list(horse_cell))))
+    race_cells = np.array(_escaped(races.race_ids.tolist()), dtype=object)
+    won_cell = (",0\n", ",1\n")
+    offsets, sizes = races.offsets, races.field_size
+    texts = [",".join(CSV_COLUMNS) + "\n"]
+    for first in range(0, len(races), _WRITE_RACES):
+        batch = slice(first, first + _WRITE_RACES)
+        rows = slice(offsets[first], offsets[min(first + _WRITE_RACES, len(races))])
+        texts.append("".join(chain.from_iterable(zip(
+            np.repeat(race_cells[batch], sizes[batch]).tolist(),
+            map(horse_cell.__getitem__, races.horse_ids[rows].tolist()),
+            map(repr, races.decimal_odds[rows].tolist()),
+            map(won_cell.__getitem__, races.won[rows].tolist()),
+        ))))
+    return "".join(texts)
 
 
 def write_races_csv(races: Races, path) -> None:
@@ -382,7 +443,7 @@ def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
     removing the overround.  Every race needs exactly one winner.
     """
     offsets, horse_ids, won = races.offsets, races.horse_ids, races.won
-    race = np.repeat(np.arange(len(races)), races.field_size)
+    race = np.repeat(_narrow(np.arange(len(races)), len(races)), races.field_size)
     q = 1.0 / races.decimal_odds
     if renormalize:
         q = q / _race_sums(q, offsets)[race]
@@ -390,7 +451,7 @@ def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
     names = horse_ids.tolist()
     id_rank = {h: i for i, h in enumerate(sorted(set(names)))}
     id_order = np.fromiter(map(id_rank.__getitem__, names), np.int64, len(names))
-    order = np.lexsort((id_order, -q, race))
+    order = np.lexsort((_narrow(id_order, len(id_rank)), -q, race))
     q, won, horse_ids = q[order], won[order], horse_ids[order]
 
     winners = np.bincount(race[won], minlength=len(races))

@@ -357,6 +357,55 @@ class TestAnalyze:
             for kind in ("empirical", "theory"):
                 assert (outdir / f"eccdf_rank{label}_{kind}.csv").exists()
 
+    @staticmethod
+    def _curves(*labels):
+        return {f"eccdf_rank{label}_{kind}.csv" for label in labels for kind in ("empirical", "theory")}
+
+    def test_rank_no_race_reaches_is_skipped_or_fatal(self, capsys, tmp_path):
+        path = tmp_path / "short.csv"
+        run(capsys, "synth", "--races", "200", "--n-min", "2", "--n-max", "3",
+            "--seed", "4", "--output", str(path))
+        outdir = tmp_path / "out_short"
+        code, _, err = run(
+            capsys, "analyze", "--input", str(path), "--output-dir", str(outdir),
+            "--min-field-size", "2",
+        )
+        assert code == EXIT_OK
+        assert err == "no race reaches rank 4: its curves are not written\n"
+        assert {f.name for f in outdir.iterdir()} == {
+            "rejections.csv", "report.csv", "report.json", *self._curves(1, 2, 3, "longshot")
+        }
+        # asked for by name, the same rank is an error and no report is written
+        outdir = tmp_path / "out_short_rank4"
+        code, _, err = run(
+            capsys, "analyze", "--input", str(path), "--output-dir", str(outdir),
+            "--min-field-size", "2", "--eccdf-ranks", "1,4",
+        )
+        assert code == EXIT_USAGE
+        assert "no races usable for rank 4" in err
+        assert [f.name for f in outdir.iterdir()] == ["rejections.csv"]
+
+    def test_failing_last_curve_leaves_no_report(self, capsys, tmp_path, race_csv, monkeypatch):
+        eccdf_per_rank = cli.analysis.eccdf_per_rank
+
+        def failing_longshot(table, selector):
+            if selector == "longshot":
+                raise ValueError("longshot curve failed")
+            return eccdf_per_rank(table, selector)
+
+        monkeypatch.setattr(cli.analysis, "eccdf_per_rank", failing_longshot)
+        outdir = tmp_path / "out_fail"
+        code, _, err = run(capsys, "analyze", "--input", str(race_csv), "--output-dir", str(outdir))
+        assert code == EXIT_USAGE
+        assert err == "error: longshot curve failed\n"
+        assert [f.name for f in outdir.iterdir()] == ["rejections.csv"]
+        # a complete run into the same directory then writes every file
+        monkeypatch.setattr(cli.analysis, "eccdf_per_rank", eccdf_per_rank)
+        assert run(capsys, "analyze", "--input", str(race_csv), "--output-dir", str(outdir))[0] == EXIT_OK
+        assert {f.name for f in outdir.iterdir()} == {
+            "rejections.csv", "report.csv", "report.json", *self._curves(1, 2, 3, 4, "longshot")
+        }
+
     def test_zero_accepted_races(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(

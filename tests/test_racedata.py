@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from brokenstick.analysis import FieldSizeBucket, build_report
 from brokenstick.orderstats import SURVIVAL_MAX_N, FieldSizeHistogram
 from brokenstick.racedata import (
+    _BLOCK_ROWS,
+    CSV_COLUMNS,
     DEFAULT_OVERROUND_DELTA,
     INVARIANTS,
     RaceEntry,
@@ -25,10 +29,11 @@ from race_columns import races_of
 from reference_ranking import rank_race
 
 HEADER = "race_id,horse_id,decimal_odds,won\n"
-# Traced peak of parse_races per input row, about 1.5 times the 99 bytes
-# measured on the test's 50k-row CSV; holding the fields as per-row text
-# costs about three times as much.
-PEAK_BYTES_PER_ROW = 150
+# Traced peak of parse_races per input row, about 1.5 times the 70 bytes
+# measured on the test's 50k-row CSV (99 before the columns were narrowed
+# and the text codes freed early); holding the fields as per-row text costs
+# about three times as much.
+PEAK_BYTES_PER_ROW = 105
 
 
 def _record(race_id, rows):
@@ -328,6 +333,50 @@ def test_csv_round_trip_quotes_ids():
     )
 
 
+# Ids the writer must quote as ``csv.writer`` does, whatever that is: with
+# "\n" as line terminator, Python 3.11's writer leaves "\r" unquoted.
+_AWKWARD_IDS = ["a,b", 'a"b', 'say "hi"', "a\nb", "a\rb", "a\r\nb", "a\x00", " a ", "a ", "   ", "", "é"]
+
+
+def _awkward_races(ids):
+    """Races whose race ids and horse ids are ``ids``, in shifted order."""
+    n = len(ids)
+    return races_of(
+        _record(race_id, [(ids[(i + j) % n], 2.0 + j, j == 0) for j in range(3)])
+        for i, race_id in enumerate(ids)
+    )
+
+
+def test_writer_quotes_as_csv_writer():
+    races = _awkward_races(_AWKWARD_IDS)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        zip(
+            np.repeat(races.race_ids, races.field_size).tolist(),
+            races.horse_ids.tolist(),
+            map(repr, races.decimal_odds.tolist()),
+            races.won.astype(int).tolist(),
+        )
+    )
+    assert races_to_csv_text(races) == out.getvalue()
+    assert races_to_csv_text(races_of([])) == HEADER
+
+
+def test_writer_round_trips_through_parse():
+    # ids the reader can take back (not a bare "\r") and that stay distinct ids once stripped
+    ids = [t for t in _AWKWARD_IDS if "\r" not in t.replace("\r\n", "") and t.strip()]
+    ids = list({t.strip(): t for t in reversed(ids)}.values())
+    races = _awkward_races(ids)
+    parsed, rejections = parse_races(races_to_csv_text(races).encode(), overround_delta=math.inf)
+    assert rejections == []
+    stripped = np.vectorize(str.strip, otypes=[object])
+    assert parsed == dataclasses.replace(
+        races, race_ids=stripped(races.race_ids), horse_ids=stripped(races.horse_ids)
+    )
+
+
 # --- parse accounting under random malformed input ---------------------------
 
 # Ids that differ only by case or a trailing NUL are distinct (a numpy str
@@ -442,6 +491,90 @@ def test_columnar_parse_matches_row_parser(lines, edge):
         (r.race_id, r.reason, r.line) for r in expected
     ]
     assert [_view(r) for r in races] == [_view(r) for r in records]
+
+
+_BAD_ODDS = ["x", "", "1..5", "--2", '"3,5"', "2 .0"]
+
+
+def _block_edge_rows(rng):
+    """Rows, one reader row each, over more than 3 parse blocks.
+
+    Races of 2-6 horses at equal odds n (so each sum is 1), the first half
+    contiguous and the second scattered over the whole file, with noise rows
+    at random places.  Around every block edge the last row of one block and
+    the first of the next hold a bad odds text, each in a race of its own;
+    one block holds several more.  Race ``r1`` lists its last row as
+    `` r1`` two blocks later, and must still be one accepted race.
+    """
+    races = []
+    for i in range(320):
+        n = int(rng.integers(2, 7))
+        winner = int(rng.integers(n))
+        races.append([f"r{i},h{j},{n},{int(j == winner)}" for j in range(n)])
+    scattered = [row for race in races[160:] for row in race]
+    rng.shuffle(scattered)
+    rows = [row for race in races[:160] for row in race] + scattered
+    noise = ["", "   ", "r5,h1,2.0", "r6,h1,2.0,1,extra", ",h1,2.0,1", "r7,,2.0,1", "r8,h1,2.0,yes", ",,,"]
+    for text in noise * 4:
+        rows.insert(int(rng.integers(1, len(rows))), text)
+    r1_last = rows.index(races[1][-1])
+    rows.insert(2 * _BLOCK_ROWS + 5, " " + rows.pop(r1_last))
+    for k, edge in enumerate(range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
+        for side, pos in enumerate((edge - 1, edge)):
+            rows[pos] = f"e{k}{'ab'[side]},h1,{_BAD_ODDS[(2 * k + side) % len(_BAD_ODDS)]},1"
+    for j, pos in enumerate(range(_BLOCK_ROWS + 40, _BLOCK_ROWS + 100, 20)):
+        rows[pos] = f"m{j},h1,{_BAD_ODDS[j]},1"
+    return rows
+
+
+def test_block_edges_match_row_parser():
+    rows = _block_edge_rows(np.random.default_rng(1604))
+    assert len(rows) > 3 * _BLOCK_ROWS
+    races, rejections = parse_races(_csv(rows))
+    records, expected = reference_parse.parse_races(_csv(rows))
+    assert [(r.race_id, r.reason, r.line) for r in rejections] == [
+        (r.race_id, r.reason, r.line) for r in expected
+    ]
+    assert [_view(r) for r in races] == [_view(r) for r in records]
+    # what the rows were built to hold reached the parser as intended
+    logged = {r.race_id: r.line for r in rejections}
+    for k, edge in enumerate(range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
+        assert logged[f"e{k}a"] == edge + 1 and logged[f"e{k}b"] == edge + 2
+    assert sum(r.race_id.startswith("m") for r in rejections if r.race_id) == 3
+    assert sum(r.race_id is None for r in rejections) == 8
+    r1_rows = [i for i, row in enumerate(rows) if row.split(",")[0].strip() == "r1"]
+    assert r1_rows[0] < _BLOCK_ROWS and r1_rows[-1] >= 2 * _BLOCK_ROWS
+    assert next(r for r in races if r.race_id == "r1").field_size == len(r1_rows)
+    assert len(races) > 250
+
+
+def test_ranking_keys_past_16_bits():
+    # more than 65,535 races and horse ids, so every integer sort key is 32-bit
+    rng = np.random.default_rng(65536)
+    count = 70_000
+    odds = np.where(rng.random((count, 2)) < 0.3, 2.0, 1.5 + rng.random((count, 2)))
+    horse = rng.permutation(10 * count)[: 2 * count].reshape(count, 2)
+    duplicated = np.arange(7, count, 997)
+    horse[duplicated, 1] = horse[duplicated, 0]  # found only by the 32-bit duplicate sort
+    rows = [
+        f"r{i},h{h0},{o0!r},1\nr{i},h{h1},{o1!r},0\n"
+        for i, ((h0, h1), (o0, o1)) in enumerate(zip(horse.tolist(), odds.tolist()))
+    ]
+    races, rejections = parse_races((HEADER + "".join(rows)).encode(), overround_delta=math.inf)
+    assert [(r.race_id, r.reason) for r in rejections] == [
+        (f"r{i}", "duplicate horse id") for i in duplicated.tolist()
+    ]
+    assert len(races) == count - len(duplicated) > 65_535
+    assert len(set(races.horse_ids.tolist())) > 65_535
+    table = rank_races(races)
+    assert table.tie_count.sum() > 1000
+    for i, record in enumerate(races):
+        ids, implied, winner, ties = rank_race(record)
+        rows = slice(table.offsets[i], table.offsets[i + 1])
+        assert list(table.horse_ids[rows]) == ids
+        assert table.implied_odds[rows].tolist() == implied  # bit for bit
+        assert table.winner_rank[i] == winner
+        assert table.tie_count[i] == ties
 
 
 def test_parse_peak_memory_per_row(tmp_path):
