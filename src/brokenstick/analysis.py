@@ -199,13 +199,12 @@ def eccdf_per_rank(table: RaceTable, selector) -> tuple[EccdfCurve, EccdfCurve]:
     return empirical, theory
 
 
-def build_report(
-    table: RaceTable, min_field_size: int = 5, renormalized: bool = False
-) -> AnalysisReport:
+def build_report(table: RaceTable, min_field_size: int = 5) -> AnalysisReport:
     """Assemble the per-bucket report from ranked races.
 
     Races below ``min_field_size`` are dropped.  Bucket ``all`` holds every
-    race kept; a size bucket with no races is left out of the report.
+    race kept; a size bucket with no races is left out of the report.  The
+    report is labelled renormalized as the table is.
     """
     if min_field_size < 1:
         raise ValueError(f"min_field_size must be >= 1, got {min_field_size}")
@@ -219,7 +218,7 @@ def build_report(
         FieldSizeBucket("large", 11),
     )
     buckets = tuple(_bucket_report(kept, b) for b in buckets if b.contains(kept.field_size).any())
-    return AnalysisReport(buckets, renormalized)
+    return AnalysisReport(buckets, table.renormalized)
 
 
 # --- serialization ---------------------------------------------------------

@@ -8,8 +8,8 @@ Subcommands:
   compare   cell-by-cell diff of two report JSON files in SE units
 
 Exit codes: 0 success, 1 validation or usage error, 2 tolerance breach in
-``simulate``/``compare``.  ``--seed`` and ``--samples`` fall back to the
-BROKENSTICK_SEED and BROKENSTICK_SAMPLES environment variables.
+``simulate``/``compare``.  Every value comes from the command line: ``--seed``
+defaults to 0 and ``--samples`` to 100000.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 
-ENV_SEED = "BROKENSTICK_SEED"
-ENV_SAMPLES = "BROKENSTICK_SAMPLES"
-
-DEFAULT_SAMPLES = 100_000
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits 1 (not 2) on usage errors."""
@@ -41,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
 def _parse_selector(text: str):
@@ -228,10 +213,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    samples = args.samples if args.samples is not None else _env_int(ENV_SAMPLES, DEFAULT_SAMPLES)
-    seed = args.seed if args.seed is not None else _env_int(ENV_SEED, 0)
     config = montecarlo.SimConfig(
-        samples=samples, seed=seed, construction=args.construction, chunk_size=args.chunk_size
+        samples=args.samples, seed=args.seed, construction=args.construction, chunk_size=args.chunk_size
     )
     n, k = args.n, args.n if args.k == "longshot" else args.k
     # the exact column first: a bad rank fails before any sampling
@@ -255,11 +238,8 @@ def cmd_simulate(args) -> int:
 
 
 def _field_size_law(args) -> orderstats.FieldSizeHistogram:
-    picked = [v for v in (args.n_fixed, args.hist, args.n_min or args.n_max) if v]
-    if len(picked) != 1:
-        raise ValueError("choose exactly one of --n-fixed, --n-min/--n-max, or --hist")
-    if args.n_fixed:
-        return orderstats.FieldSizeHistogram({args.n_fixed: 1})
+    if bool(args.hist) == bool(args.n_min or args.n_max):
+        raise ValueError("choose either --n-min/--n-max or --hist")
     if args.hist:
         return _load_histogram(args.hist)
     if not (args.n_min and args.n_max):
@@ -270,11 +250,10 @@ def _field_size_law(args) -> orderstats.FieldSizeHistogram:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _env_int(ENV_SEED, 0)
     config = synth.SyntheticDatasetConfig(
         race_count=args.races,
         field_sizes=_field_size_law(args),
-        seed=seed,
+        seed=args.seed,
         odds_noise=args.odds_noise,
         construction=args.construction,
     )
@@ -332,9 +311,7 @@ def cmd_analyze(args) -> int:
 
     table = racedata.rank_races(races, renormalize=args.renormalize)
     kept = table.select(table.field_size >= args.min_field_size)
-    report = analysis.build_report(
-        kept, min_field_size=args.min_field_size, renormalized=args.renormalize
-    )
+    report = analysis.build_report(kept, min_field_size=args.min_field_size)
     selectors = args.eccdf_ranks
     if selectors is None:  # the default: every rank that some kept race reaches
         longest = int(kept.field_size.max())
@@ -430,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=_parse_selector)
     p.add_argument("--stat", choices=_STATISTICS, required=True)
-    p.add_argument("--samples", type=int, help=f"default ${ENV_SAMPLES} or {DEFAULT_SAMPLES}")
-    p.add_argument("--seed", type=int, help=f"default ${ENV_SEED} or 0")
+    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--construction", choices=montecarlo.CONSTRUCTIONS, default="uniform-cuts")
     p.add_argument("--chunk-size", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
@@ -444,11 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic race CSV")
     p.add_argument("--races", type=int, required=True)
-    p.add_argument("--n-fixed", type=int, help="every race has this field size")
     p.add_argument("--n-min", type=int, help="uniform field sizes from here")
     p.add_argument("--n-max", type=int, help="uniform field sizes up to here")
     p.add_argument("--hist", help="draw field sizes from this histogram CSV")
-    p.add_argument("--seed", type=int, help=f"default ${ENV_SEED} or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--odds-noise", type=float, default=0.0,
                    help="log-normal sigma blurring quoted odds (0 = efficient market)")
     p.add_argument("--construction", choices=montecarlo.CONSTRUCTIONS, default="uniform-cuts")
@@ -486,7 +462,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, csv.Error) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -94,42 +94,24 @@ def _resample_degenerate(
     return segments
 
 
-def _divisions_uniform(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 1:
-        return np.ones((size, 1))
-
-    def draw(count: int) -> np.ndarray:
-        cuts = np.sort(rng.random((count, n - 1)), axis=1)
-        return np.diff(cuts, axis=1, prepend=0.0, append=1.0)
-
-    segments = _resample_degenerate(draw(size), draw)
-    return np.sort(segments, axis=1)[:, ::-1]
-
-
-def _divisions_exponential(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    def draw(count: int) -> np.ndarray:
-        x = rng.standard_exponential((count, n))
-        return x / x.sum(axis=1, keepdims=True)
-
-    segments = _resample_degenerate(draw(size), draw)
-    return np.sort(segments, axis=1)[:, ::-1]
-
-
-_BULK_SAMPLERS = {
-    "uniform-cuts": _divisions_uniform,
-    "exponential-ratio": _divisions_exponential,
-}
-
-
 def sample_divisions(
     n: int, size: int, rng: np.random.Generator, construction: str = "uniform-cuts"
 ) -> np.ndarray:
     """(size, n) matrix of sorted-descending segment lengths."""
     if n < 1:
         raise ValueError(f"field size must be >= 1, got {n}")
-    if construction not in _BULK_SAMPLERS:
+    if construction == "uniform-cuts":
+        def draw(count: int) -> np.ndarray:  # n = 1 draws no cut and gives [1.0]
+            cuts = np.sort(rng.random((count, n - 1)), axis=1)
+            return np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    elif construction == "exponential-ratio":
+        def draw(count: int) -> np.ndarray:
+            x = rng.standard_exponential((count, n))
+            return x / x.sum(axis=1, keepdims=True)
+    else:
         raise ValueError(f"unknown construction {construction!r}")
-    return _BULK_SAMPLERS[construction](n, size, rng)
+    segments = _resample_degenerate(draw(size), draw)
+    return np.sort(segments, axis=1)[:, ::-1]
 
 
 def sample_races(
@@ -179,14 +161,9 @@ def _finish(triple: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduce_chunks(config: SimConfig, job: Callable[[int, int], np.ndarray], workers: int) -> np.ndarray:
     """Merge the triples ``job`` returns for every chunk, in chunk order."""
-    chunks = list(config.chunks())
-    if workers <= 1 or len(chunks) == 1:
-        triples = [job(i, count) for i, count in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job, i, count) for i, count in chunks]
-        triples = [f.result() for f in futures]  # submission order == chunk order
-    return functools.reduce(_merge, triples)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # workers < 1 raises here
+        futures = [pool.submit(job, i, count) for i, count in config.chunks()]
+    return functools.reduce(_merge, [f.result() for f in futures])  # in submission order
 
 
 def _indicator_triple(hits: np.ndarray, count: int) -> np.ndarray:

@@ -152,16 +152,16 @@ class Rejection:
 
 
 def _open_source(source) -> IO[str]:
+    """A text stream of a path, bytes or file object, all read with
+    ``newline=""``: the CSV reader sees every line ending as written."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8-sig", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        return io.StringIO(data)
-    raise TypeError(f"cannot read races from {type(source).__name__}")
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        data = data.decode("utf-8-sig")
+    if not isinstance(data, str):
+        raise TypeError(f"cannot read races from {type(source).__name__}")
+    return io.StringIO(data, newline="")
 
 
 def _race_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -245,6 +245,7 @@ def parse_races(
     accepted or carried by exactly one rejection, and each row without a
     race id is one rejection of its own (race id None, with the row's line
     number).  ``overround_delta`` must be >= 0 (``inf`` accepts any sum).
+    Text the CSV reader cannot read raises ``ValueError`` naming its line.
 
     The reader's rows are taken ``_BLOCK_ROWS`` at a time into one flat list
     of fields.  Per block, each of race id, horse id and ``won`` becomes a
@@ -264,35 +265,38 @@ def parse_races(
     blanks = array("q")  # per blank line, the number of rows before it
     width_errors: dict[int, str] = {}  # row -> message, for rows not `width` fields wide
     odds_errors: dict[int, str] = {}  # row -> message of float() on its odds
-    with _open_source(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
-            raise ValueError(
-                f"expected header {','.join(CSV_COLUMNS)!r}, got {header!r}"
-            )
-        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            fields: list[str] = []
-            for row in block:
-                if len(row) == width:
-                    fields += row
-                elif not row or (len(row) == 1 and not row[0].strip()):
-                    blanks.append(len(odds) + len(fields) // width)
-                else:  # a placeholder that poisons its race
-                    width_errors[len(odds) + len(fields) // width] = (
-                        f"expected {width} fields, got {len(row)}"
-                    )
-                    fields += (row[0], "", "nan", "")
-            for c, table, column in zip(columns, tables, codes):
-                column.extend(map(table.__getitem__, fields[c::width]))
-            texts = iter(fields[2::width])
-            while True:  # float() stops at a bad text; log it and go on after it
-                try:
-                    odds.extend(map(float, texts))
-                    break
-                except ValueError as exc:
-                    odds_errors[len(odds)] = str(exc)
-                    odds.append(math.nan)
+    try:
+        with _open_source(source) as stream:
+            reader = csv.reader(stream)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_COLUMNS:
+                raise ValueError(
+                    f"expected header {','.join(CSV_COLUMNS)!r}, got {header!r}"
+                )
+            for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                fields: list[str] = []
+                for row in block:
+                    if len(row) == width:
+                        fields += row
+                    elif not row or (len(row) == 1 and not row[0].strip()):
+                        blanks.append(len(odds) + len(fields) // width)
+                    else:  # a placeholder that poisons its race
+                        width_errors[len(odds) + len(fields) // width] = (
+                            f"expected {width} fields, got {len(row)}"
+                        )
+                        fields += (row[0], "", "nan", "")
+                for c, table, column in zip(columns, tables, codes):
+                    column.extend(map(table.__getitem__, fields[c::width]))
+                texts = iter(fields[2::width])
+                while True:  # float() stops at a bad text; log it and go on after it
+                    try:
+                        odds.extend(map(float, texts))
+                        break
+                    except ValueError as exc:
+                        odds_errors[len(odds)] = str(exc)
+                        odds.append(math.nan)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise ValueError(f"CSV error at line {reader.line_num}: {exc}") from None
 
     race_of, race_names = _first_appearance_ids(tables[0])
     horse_of, horse_names = _first_appearance_ids(tables[1])
@@ -358,12 +362,17 @@ def parse_races(
 
 
 def _escaped(texts: list[str]) -> list[str]:
-    """Each text as ``csv.writer`` writes it as a field of a row, plus ","."""
+    """Each text as ``csv.writer`` writes it as a field of a row, plus ",".
+
+    The writer quotes a field holding a character of its line terminator, so
+    rows ended by "\r\n" quote a bare "\r" too, which the reader would
+    otherwise take for the end of a line.
+    """
     out = io.StringIO()
-    lengths = list(map(csv.writer(out, lineterminator="\n").writerow, zip(texts, repeat(""))))
+    lengths = list(map(csv.writer(out, lineterminator="\r\n").writerow, zip(texts, repeat(""))))
     ends = np.cumsum(lengths, dtype=np.int64)
-    text = out.getvalue()  # each row is the field, "," and "\n"
-    return list(map(text.__getitem__, map(slice, (ends - lengths).tolist(), (ends - 1).tolist())))
+    text = out.getvalue()  # each row is the field, "," and "\r\n"
+    return list(map(text.__getitem__, map(slice, (ends - lengths).tolist(), (ends - 2).tolist())))
 
 
 def races_to_csv_text(races: Races) -> str:
@@ -403,7 +412,8 @@ class RaceTable:
     The rows of race i are ``offsets[i]:offsets[i + 1]``, sorted by implied
     odds descending with equal odds in ascending horse-id order.  Per race,
     ``winner_rank`` is the winner's 1-based rank and ``tie_count`` the
-    number of adjacent equal-odds pairs.
+    number of adjacent equal-odds pairs.  ``renormalized`` says whether the
+    implied odds were divided by their race's sum.
     """
 
     race_ids: np.ndarray
@@ -412,6 +422,7 @@ class RaceTable:
     implied_odds: np.ndarray
     winner_rank: np.ndarray
     tie_count: np.ndarray
+    renormalized: bool
 
     def __len__(self) -> int:
         return len(self.race_ids)
@@ -430,8 +441,8 @@ class RaceTable:
             self.implied_odds[rows],
             self.winner_rank[races],
             self.tie_count[races],
+            self.renormalized,
         )
-
 
 
 def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
@@ -466,4 +477,5 @@ def rank_races(races: Races, renormalize: bool = False) -> RaceTable:
         implied_odds=q,
         winner_rank=np.flatnonzero(won) - offsets[:-1] + 1,
         tie_count=np.bincount(race[1:][ties], minlength=len(races)),
+        renormalized=renormalize,
     )

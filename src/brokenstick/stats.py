@@ -46,10 +46,9 @@ def empirical_survival(values: Sequence[float], xs: Sequence[float]) -> np.ndarr
     return exceed / values.size
 
 
-def eccdf(values: Sequence[float], grid: Sequence[float] | None = None) -> EccdfCurve:
-    """Empirical survival curve; default grid is the sorted set of values."""
-    values = np.asarray(values, dtype=float)
-    xs = np.unique(values) if grid is None else np.sort(np.asarray(grid, dtype=float))
+def eccdf(values: Sequence[float]) -> EccdfCurve:
+    """Empirical survival curve at the sorted set of values."""
+    xs = np.unique(np.asarray(values, dtype=float))
     return EccdfCurve(xs, empirical_survival(values, xs))
 
 

@@ -128,6 +128,18 @@ def test_cells_keep_writing_order_with_an_absent_rank():
     assert [tuple(row[:3]) for row in rows] == [("all", *key) for key in keys]
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_report_labels_renormalization_as_the_table_is(renormalize):
+    table = rank_races(
+        generate_synthetic_dataset(SyntheticDatasetConfig(race_count=20, field_sizes=[6] * 20, seed=4)),
+        renormalize=renormalize,
+    )
+    report = build_report(table)
+    assert report.renormalized is renormalize
+    assert json.loads(report_to_json_text(report))["renormalized"] is renormalize
+    assert table.select(table.field_size >= 5).renormalized is renormalize
+
+
 def test_report_completeness():
     races = _synthetic_races(500, [5, 6, 9, 12] * 125, seed=23)
     report = build_report(races)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +114,14 @@ class TestTheory:
         assert float(out) == bucket["winner"]["winner_segment_mean_theory"]["value"]
         assert theory["longshot", "cond-mean"] == "0.0410386"
 
+    def test_histogram_field_past_csv_limit(self, capsys, tmp_path):
+        hist = tmp_path / "sizes.csv"
+        hist.write_text("n,count\n5," + "1" * 131073 + "\n")
+        code, out, err = run(capsys, "theory", "--hist", str(hist), "--k", "1", "--stat", "mean")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "field larger than field limit" in err
+
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "theory", "--stat", "mean")
         assert code == EXIT_USAGE
@@ -217,13 +228,15 @@ class TestSimulate:
         assert code == EXIT_OK
         assert out == run(capsys, *common)[1]
 
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("BROKENSTICK_SAMPLES", "5000")
-        monkeypatch.setenv("BROKENSTICK_SEED", "21")
-        code1, out1, _ = run(capsys, "simulate", "--n", "2", "--k", "1", "--stat", "mean")
-        code2, out2, _ = run(capsys, "simulate", "--n", "2", "--k", "1", "--stat", "mean")
-        assert code1 == code2 == EXIT_OK
-        assert out1 == out2
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        code, out, err = run(
+            capsys, "simulate", "--n", "3", "--k", "1", "--stat", "mean",
+            "--samples", "1000", "--workers", workers,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "workers" in err
 
 
 class TestSynth:
@@ -232,17 +245,21 @@ class TestSynth:
         out_b = tmp_path / "b.csv"
         for path in (out_a, out_b):
             code, out, _ = run(
-                capsys, "synth", "--races", "100", "--n-fixed", "9",
+                capsys, "synth", "--races", "100", "--n-min", "9", "--n-max", "9",
                 "--seed", "7", "--output", str(path),
             )
             assert code == EXIT_OK
             assert "wrote 100 races (900 rows)" in out
         assert out_a.read_bytes() == out_b.read_bytes()
         assert len(out_a.read_text().splitlines()) == 901
+        # the bytes the retired --n-fixed 9 wrote for this seed
+        assert hashlib.sha256(out_a.read_bytes()).hexdigest() == (
+            "e7fa9b24608ceea44e7f015dd4fa4a3991012208074f3a39549110afc095aaec"
+        )
 
     def test_single_horse_rejected(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "synth", "--races", "5", "--n-fixed", "1",
+            capsys, "synth", "--races", "5", "--n-min", "1", "--n-max", "1",
             "--output", str(tmp_path / "x.csv"),
         )
         assert code == EXIT_USAGE
@@ -252,7 +269,7 @@ class TestSynth:
     def test_non_finite_odds_noise_rejected(self, capsys, tmp_path, noise):
         path = tmp_path / "x.csv"
         code, _, err = run(
-            capsys, "synth", "--races", "5", "--n-fixed", "5", "--odds-noise", noise,
+            capsys, "synth", "--races", "5", "--n-min", "5", "--n-max", "5", "--odds-noise", noise,
             "--output", str(path),
         )
         assert code == EXIT_USAGE
@@ -260,11 +277,16 @@ class TestSynth:
         assert not path.exists()
 
     def test_field_law_flags_are_exclusive(self, capsys, tmp_path):
+        hist = tmp_path / "sizes.csv"
+        hist.write_text("n,count\n5,3\n")
+        path = tmp_path / "x.csv"
         code, _, err = run(
-            capsys, "synth", "--races", "5", "--n-fixed", "5", "--n-min", "5",
-            "--n-max", "8", "--output", str(tmp_path / "x.csv"),
+            capsys, "synth", "--races", "5", "--hist", str(hist), "--n-min", "5",
+            "--n-max", "8", "--output", str(path),
         )
         assert code == EXIT_USAGE
+        assert "--n-min/--n-max or --hist" in err
+        assert not path.exists()
 
 
 class TestAnalyze:
@@ -406,6 +428,19 @@ class TestAnalyze:
             "rejections.csv", "report.csv", "report.json", *self._curves(1, 2, 3, 4, "longshot")
         }
 
+    def test_field_past_csv_limit_exits_without_files(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "race_id,horse_id,decimal_odds,won\nr1,h1,2.0,1\nr1," + "h" * 131073 + ",2.0,0\n",
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "out_huge"
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--output-dir", str(outdir))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: CSV error at line 3: field larger than field limit")
+        assert not outdir.exists()
+
     def test_zero_accepted_races(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -491,3 +526,13 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == EXIT_OK
     assert "theory" in out
+
+
+def test_readme_names_only_existing_flags():
+    """Every --flag the README names from its CLI section on is a flag of a subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme[readme.index("\n## CLI"):]))
+    (subcommands,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    flags = {f for p in subcommands.choices.values() for f in p._option_string_actions}
+    assert named >= {"--n-min", "--samples", "--seed"}
+    assert sorted(named - flags) == []

@@ -122,6 +122,14 @@ def test_single_segment_division(construction):
     assert list(sample_divisions(1, 3, rng, construction)[0]) == [1.0]
 
 
+def test_single_segment_cuts_draw_nothing():
+    # n = 1 cuts nowhere, so the winner's point is the chunk's first draw
+    rng = chunk_rng(1, 0)
+    segments, winners = sample_races(1, 3, rng)
+    assert segments.tolist() == [[1.0]] * 3 and winners.tolist() == [1, 1, 1]
+    assert rng.random() == chunk_rng(1, 0).random(4)[3]
+
+
 def test_estimators_reproducible_and_thread_invariant():
     config = SimConfig(samples=50_000, seed=9, chunk_size=8_000)
     xs = quantile_grid(4, 2, 10)

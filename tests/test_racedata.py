@@ -18,6 +18,7 @@ from brokenstick.racedata import (
     INVARIANTS,
     RaceEntry,
     RaceRecord,
+    Rejection,
     parse_races,
     races_to_csv_text,
     rank_races,
@@ -173,6 +174,27 @@ def test_parse_from_path(tmp_path):
     records, rejections = parse_races(path)
     assert rejections == []
     assert list(records) == [record]
+
+
+def test_every_source_reads_line_endings_alike(tmp_path):
+    # a bare "\r" in an unquoted field ends the row whatever the source
+    data = (HEADER + "r1,h\r1,2.0,1\nr1,h2,2.0,0\n").encode()
+    path = tmp_path / "races.csv"
+    path.write_bytes(data)
+    expected = [
+        Rejection("r1", "malformed row: expected 4 fields, got 2", 2),
+        Rejection("1", "malformed row: expected 4 fields, got 3", 3),
+    ]
+    for source in (data, io.BytesIO(data), path):
+        races, rejections = parse_races(source)
+        assert len(races) == 0
+        assert rejections == expected
+
+
+def test_field_past_csv_limit_names_its_line():
+    data = (HEADER + "r1,h1,2.0,1\n\nr1," + "h" * (csv.field_size_limit() + 1) + ",2.0,0\n").encode()
+    with pytest.raises(ValueError, match=r"^CSV error at line 4: field larger than field limit"):
+        parse_races(data)
 
 
 def test_tie_break_is_deterministic():
@@ -333,8 +355,9 @@ def test_csv_round_trip_quotes_ids():
     )
 
 
-# Ids the writer must quote as ``csv.writer`` does, whatever that is: with
-# "\n" as line terminator, Python 3.11's writer leaves "\r" unquoted.
+# Ids the writer must quote as ``csv.writer`` quotes them in rows ended by
+# "\r\n": a bare "\r" too, which Python 3.11's writer leaves unquoted when
+# rows end in "\n" alone.
 _AWKWARD_IDS = ["a,b", 'a"b', 'say "hi"', "a\nb", "a\rb", "a\r\nb", "a\x00", " a ", "a ", "   ", "", "é"]
 
 
@@ -349,24 +372,27 @@ def _awkward_races(ids):
 
 def test_writer_quotes_as_csv_writer():
     races = _awkward_races(_AWKWARD_IDS)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        zip(
-            np.repeat(races.race_ids, races.field_size).tolist(),
-            races.horse_ids.tolist(),
-            map(repr, races.decimal_odds.tolist()),
-            races.won.astype(int).tolist(),
-        )
+
+    def row_text(fields):  # the row as csv.writer quotes it, ended by "\n"
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(fields)
+        return out.getvalue()[:-2] + "\n"
+
+    rows = zip(
+        np.repeat(races.race_ids, races.field_size).tolist(),
+        races.horse_ids.tolist(),
+        map(repr, races.decimal_odds.tolist()),
+        races.won.astype(int).tolist(),
     )
-    assert races_to_csv_text(races) == out.getvalue()
+    text = races_to_csv_text(races)
+    assert text == "".join(map(row_text, [CSV_COLUMNS, *rows]))
+    assert text.count('"a\rb"') == 6  # three rows as race id, three as horse id
     assert races_to_csv_text(races_of([])) == HEADER
 
 
 def test_writer_round_trips_through_parse():
-    # ids the reader can take back (not a bare "\r") and that stay distinct ids once stripped
-    ids = [t for t in _AWKWARD_IDS if "\r" not in t.replace("\r\n", "") and t.strip()]
+    # ids that stay distinct ids once stripped
+    ids = [t for t in _AWKWARD_IDS if t.strip()]
     ids = list({t.strip(): t for t in reversed(ids)}.values())
     races = _awkward_races(ids)
     parsed, rejections = parse_races(races_to_csv_text(races).encode(), overround_delta=math.inf)
