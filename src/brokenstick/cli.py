@@ -238,11 +238,12 @@ def cmd_simulate(args) -> int:
 
 
 def _field_size_law(args) -> orderstats.FieldSizeHistogram:
-    if bool(args.hist) == bool(args.n_min or args.n_max):
+    uniform = (args.n_min, args.n_max)
+    if bool(args.hist) == (uniform != (None, None)):
         raise ValueError("choose either --n-min/--n-max or --hist")
     if args.hist:
         return _load_histogram(args.hist)
-    if not (args.n_min and args.n_max):
+    if None in uniform:
         raise ValueError("--n-min and --n-max must be given together")
     if args.n_max < args.n_min:
         raise ValueError("--n-max must be >= --n-min")

@@ -13,6 +13,19 @@ triples merge in chunk order by the pairwise update of Chan, Golub & LeVeque
 (1979).  So a configuration (samples, seed, construction, chunk_size) yields
 bit-identical estimates for any ``workers`` count.  Estimates are the mean
 total/count with the ddof=1 standard error sqrt(m2/(count-1)/count).
+
+Memory: a chunk is drawn, sorted and reduced in slabs of ``_SLAB`` rows, so
+the survival and moment jobs hold O(_SLAB x n) scratch whatever
+``chunk_size`` is: ``chunk_size`` sets the seed partition and the parallel
+grain, not the memory.  ``sample_divisions`` and ``sample_races`` return
+whole (size, n) arrays, and the winner job keeps its chunk's divisions,
+because the winners' points are drawn after every division.
+``Generator.random`` and ``standard_exponential`` fill element by element, so
+the slabs take the stream in the order one (size, n) draw would, and the slab
+size moves no bit, with one exception: a degenerate row (coincident cuts or a
+zero exponential draw, about 1e-10 per 100k rows) is redrawn inside its own
+slab, before the next slab is drawn, so a chunk holding one draws other bits
+than a whole-chunk draw would.
 """
 
 from __future__ import annotations
@@ -42,6 +55,9 @@ __all__ = [
 CONSTRUCTIONS = ("uniform-cuts", "exponential-ratio")
 
 _SEED_LIMIT = 2**64
+# Rows per slab: 0.8 MB of float64 at n = 12, so a slab's scratch stays in
+# cache; slabs of 2048 rows ran slower than one whole-chunk draw.
+_SLAB = 8192
 
 
 @dataclass(frozen=True)
@@ -94,24 +110,40 @@ def _resample_degenerate(
     return segments
 
 
-def sample_divisions(
-    n: int, size: int, rng: np.random.Generator, construction: str = "uniform-cuts"
-) -> np.ndarray:
-    """(size, n) matrix of sorted-descending segment lengths."""
+def _division_slabs(
+    n: int, size: int, rng: np.random.Generator, construction: str
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``size`` rows of sorted-descending segment lengths, ``_SLAB`` rows at a
+    time: yields (rows, slab), ``rows`` being the slab's slice of the ``size``."""
     if n < 1:
         raise ValueError(f"field size must be >= 1, got {n}")
     if construction == "uniform-cuts":
         def draw(count: int) -> np.ndarray:  # n = 1 draws no cut and gives [1.0]
-            cuts = np.sort(rng.random((count, n - 1)), axis=1)
+            cuts = rng.random((count, n - 1))
+            cuts.sort(axis=1)
             return np.diff(cuts, axis=1, prepend=0.0, append=1.0)
     elif construction == "exponential-ratio":
         def draw(count: int) -> np.ndarray:
             x = rng.standard_exponential((count, n))
-            return x / x.sum(axis=1, keepdims=True)
+            x /= x.sum(axis=1, keepdims=True)
+            return x
     else:
         raise ValueError(f"unknown construction {construction!r}")
-    segments = _resample_degenerate(draw(size), draw)
-    return np.sort(segments, axis=1)[:, ::-1]
+    for start in range(0, size, _SLAB):
+        count = min(_SLAB, size - start)
+        segments = _resample_degenerate(draw(count), draw)
+        segments.sort(axis=1)
+        yield slice(start, start + count), segments[:, ::-1]
+
+
+def sample_divisions(
+    n: int, size: int, rng: np.random.Generator, construction: str = "uniform-cuts"
+) -> np.ndarray:
+    """(size, n) matrix of sorted-descending segment lengths."""
+    out = np.empty((size, n))
+    for rows, slab in _division_slabs(n, size, rng, construction):
+        out[rows] = slab
+    return out
 
 
 def sample_races(
@@ -120,10 +152,13 @@ def sample_races(
     """``size`` races of n horses: the (size, n) sorted-descending divisions, and
     per race the 1-based rank of the segment holding a uniform point (the winner)."""
     segments = sample_divisions(n, size, rng, construction)
-    cumulative = np.cumsum(segments, axis=1)
-    cumulative[:, -1] = 1.0  # guard the float tail so every point lands
-    points = rng.random(size)
-    winner_ranks = (points[:, None] < cumulative).argmax(axis=1) + 1
+    points = rng.random(size)  # after every division, whatever the slabs
+    winner_ranks = np.empty(size, dtype=np.intp)
+    for start in range(0, size, _SLAB):
+        rows = slice(start, start + _SLAB)
+        cumulative = np.cumsum(segments[rows], axis=1)
+        cumulative[:, -1] = 1.0  # guard the float tail so every point lands
+        winner_ranks[rows] = (points[rows, None] < cumulative).argmax(axis=1) + 1
     return segments, winner_ranks
 
 
@@ -182,15 +217,18 @@ def estimate_ccdf_all_ranks(
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise ValueError("xs must contain at least one evaluation point")
+    if np.isnan(xs).any():  # NaN compares false both ways, so it would pass as sorted
+        raise ValueError("xs must not contain NaN")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be sorted ascending")
 
     def job(index: int, count: int) -> np.ndarray:
-        segments = sample_divisions(n, count, chunk_rng(config.seed, index), config.construction)
         # hits[k, j] = number of draws with z_(k+1) > xs[j], counted on each rank's
         # sorted draws: a (count, n, len(xs)) comparison array is hundreds of MB
-        ordered = np.sort(segments.T, axis=1)
-        hits = count - np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
+        hits = np.full((n, xs.size), count, dtype=np.intp)
+        for _, slab in _division_slabs(n, count, chunk_rng(config.seed, index), config.construction):
+            ordered = np.sort(slab.T, axis=1)
+            hits -= np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
         return _indicator_triple(hits, count)
 
     return _finish(_reduce_chunks(config, job, workers))
@@ -213,8 +251,9 @@ def _moment_estimate(
         raise ValueError(f"rank k={k} out of range for field size n={n}")
 
     def job(index: int, count: int) -> np.ndarray:
-        segments = sample_divisions(n, count, chunk_rng(config.seed, index), config.construction)
-        values = segments[:, k - 1] ** power
+        values = np.empty(count)
+        for rows, slab in _division_slabs(n, count, chunk_rng(config.seed, index), config.construction):
+            values[rows] = slab[:, k - 1] ** power
         total = values.sum()
         return np.array([count, total, ((values - total / count) ** 2).sum()])
 
@@ -255,9 +294,10 @@ def estimate_winner_stats(n: int, config: SimConfig, workers: int = 1) -> Winner
 
     def job(index: int, count: int) -> np.ndarray:
         # cells: the n win indicators, then the winner's length per winning rank
-        segments, ranks = sample_races(n, count, chunk_rng(config.seed, index), config.construction)
-        rank = ranks - 1
+        segments, rank = sample_races(n, count, chunk_rng(config.seed, index), config.construction)
+        rank -= 1
         lengths = segments[np.arange(count), rank]
+        del segments  # the rest reads only the winners' lengths
         wins = np.bincount(rank, minlength=n)
         sums = np.bincount(rank, weights=lengths, minlength=n)
         with np.errstate(invalid="ignore"):  # 0/0 for ranks without a win, never read

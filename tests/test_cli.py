@@ -288,6 +288,17 @@ class TestSynth:
         assert "--n-min/--n-max or --hist" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("n_min,n_max", [("0", "5"), ("0", "0")])
+    def test_zero_field_size_is_given_not_absent(self, capsys, tmp_path, n_min, n_max):
+        path = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "synth", "--races", "5", "--n-min", n_min, "--n-max", n_max,
+            "--output", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert "field size must be a positive integer, got 0" in err
+        assert not path.exists()
+
 
 class TestAnalyze:
     @pytest.fixture()

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import mc_reference
+import test_mc_golden
 from ks_reference import ks_critical_value, ks_statistic_two_sample
+from time_montecarlo import traced_peak_mb
+from brokenstick import montecarlo
 from brokenstick.montecarlo import (
     CONSTRUCTIONS,
     SimConfig,
@@ -98,6 +101,28 @@ def test_degenerate_rows_are_resampled():
     assert calls == []
 
 
+def test_degenerate_row_is_redrawn_inside_its_slab():
+    # the redraw takes the next rows of the stream, before the next slab's
+    class Rigged:
+        def __init__(self):
+            self.rng, self.calls = chunk_rng(3, 0), 0
+
+        def random(self, shape):
+            x = self.rng.random(shape)
+            if self.calls == 0:
+                x[0] = 0.5  # coincident cuts: a zero-length segment
+            self.calls += 1
+            return x
+
+    slab = montecarlo._SLAB
+    out = sample_divisions(3, slab + 10, Rigged())
+    cuts = np.sort(chunk_rng(3, 0).random((slab + 11, 2)), axis=1)
+    stream = np.sort(np.diff(cuts, axis=1, prepend=0.0, append=1.0), axis=1)[:, ::-1]
+    assert np.array_equal(out[0], stream[slab])
+    assert np.array_equal(out[1:slab], stream[1:slab])
+    assert np.array_equal(out[slab:], stream[slab + 1:])
+
+
 def test_sample_divisions_validation():
     rng = chunk_rng(0, 0)
     with pytest.raises(ValueError):
@@ -167,6 +192,14 @@ def test_estimate_ccdf_validation():
         estimate_ccdf(3, 1, [], config)
     with pytest.raises(ValueError):
         estimate_ccdf(3, 1, [0.5, 0.1], config)
+
+
+@pytest.mark.parametrize("xs", [[0.1, float("nan")], [float("nan"), 0.1]])
+def test_estimate_ccdf_rejects_nan(xs):
+    # NaN fails every comparison, so [nan, 0.1] passed the ascending check
+    # and a NaN column read survival 0
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_ccdf_all_ranks(3, xs, SimConfig(samples=10))
 
 
 def test_estimate_ccdf_at_zero_is_exactly_one():
@@ -290,3 +323,20 @@ def test_estimates_match_two_pass_reference():
                 mean, se = mc_reference.moment(9, k, config, power)
                 _assert_rel(est.value, mean, 1e-14)
                 _assert_rel(est.se, se, 2e-14)
+
+
+def test_golden_sizes_straddle_the_slab():
+    assert montecarlo._SLAB == test_mc_golden.SLAB
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+@pytest.mark.parametrize("call,limit_mb", [
+    pytest.param(lambda c: estimate_ccdf_all_ranks(12, np.linspace(0.0, 0.5, 20), c), 6, id="ccdf-n12"),
+    pytest.param(lambda c: estimate_mean(12, 3, c), 6, id="mean-n12"),
+    pytest.param(lambda c: estimate_winner_stats(9, c), 12, id="winner-n9"),
+])
+def test_chunk_memory_is_bounded(construction, call, limit_mb):
+    # one 100k-row chunk on one worker: a whole (100k, n) float array and its
+    # sorted copy alone would pass these limits
+    config = SimConfig(samples=100_000, seed=4, construction=construction)
+    assert traced_peak_mb(lambda: call(config)) < limit_mb
