@@ -38,16 +38,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_selector(text: str):
-    if text == "longshot":
-        return "longshot"
+def _parse_positive(text: str, name: str) -> int:
     try:
-        k = int(text)
+        if (value := int(text)) >= 1:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"rank must be an integer or 'longshot', got {text!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError("rank must be >= 1")
-    return k
+        pass
+    raise argparse.ArgumentTypeError(f"{name} must be an integer >= 1, got {text!r}")
+
+
+def _parse_selector(text: str):
+    return text if text == "longshot" else _parse_positive(text, "rank")
+
+
+_parse_digits = functools.partial(_parse_positive, name="digits")
+
+
+def _parse_selectors(text: str) -> list:
+    selectors = [_parse_selector(part) for part in text.split(",")]
+    for i, selector in enumerate(selectors):
+        if selector in selectors[:i]:  # its curve files would be staged twice
+            raise argparse.ArgumentTypeError(f"rank {selector} given twice")
+    return selectors
 
 
 def _parse_tolerance(text: str) -> float:
@@ -383,7 +395,7 @@ def cmd_compare(args) -> int:
 
 def _add_output_flags(parser) -> None:
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--digits", type=int, default=6, help="significant digits in output")
+    parser.add_argument("--digits", type=_parse_digits, default=6, help="significant digits in output")
     parser.add_argument("--output", help="write to this file instead of stdout")
 
 
@@ -440,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accept races with implied-odds sum within 1 +/- delta")
     p.add_argument("--renormalize", action="store_true",
                    help="divide implied odds by their sum before ranking")
-    p.add_argument("--digits", type=int, default=6)
-    p.add_argument("--eccdf-ranks", type=lambda t: [_parse_selector(s) for s in t.split(",")],
+    p.add_argument("--digits", type=_parse_digits, default=6)
+    p.add_argument("--eccdf-ranks", type=_parse_selectors,
                    help="survival curves to write (default: 1,2,3,4,longshot, "
                    "skipping a rank no kept race reaches)")
     p.set_defaults(func=cmd_analyze)

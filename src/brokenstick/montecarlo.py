@@ -37,6 +37,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .orderstats import _check_field_size, _check_rank
+
 __all__ = [
     "CONSTRUCTIONS",
     "SimConfig",
@@ -70,16 +72,16 @@ class SimConfig:
     chunk_size: int = 100_000
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < _SEED_LIMIT:
+        for name, least in (("samples", 1), ("seed", 0), ("chunk_size", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.seed >= _SEED_LIMIT:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(
                 f"unknown construction {self.construction!r}; choose from {CONSTRUCTIONS}"
             )
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def chunks(self) -> Iterator[tuple[int, int]]:
         """Yield (chunk_index, chunk_samples) covering the full budget."""
@@ -113,10 +115,9 @@ def _resample_degenerate(
 def _division_slabs(
     n: int, size: int, rng: np.random.Generator, construction: str
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """``size`` rows of sorted-descending segment lengths, ``_SLAB`` rows at a
-    time: yields (rows, slab), ``rows`` being the slab's slice of the ``size``."""
-    if n < 1:
-        raise ValueError(f"field size must be >= 1, got {n}")
+    """``size`` rows of sorted-descending segment lengths, as (rows, slab) pairs of
+    ``_SLAB`` rows: a bad argument raises on the call, each slab is drawn as read."""
+    _check_field_size(n)
     if construction == "uniform-cuts":
         def draw(count: int) -> np.ndarray:  # n = 1 draws no cut and gives [1.0]
             cuts = rng.random((count, n - 1))
@@ -129,19 +130,23 @@ def _division_slabs(
             return x
     else:
         raise ValueError(f"unknown construction {construction!r}")
-    for start in range(0, size, _SLAB):
+
+    def slab(start: int) -> tuple[slice, np.ndarray]:
         count = min(_SLAB, size - start)
         segments = _resample_degenerate(draw(count), draw)
         segments.sort(axis=1)
-        yield slice(start, start + count), segments[:, ::-1]
+        return slice(start, start + count), segments[:, ::-1]
+
+    return map(slab, range(0, size, _SLAB))
 
 
 def sample_divisions(
     n: int, size: int, rng: np.random.Generator, construction: str = "uniform-cuts"
 ) -> np.ndarray:
     """(size, n) matrix of sorted-descending segment lengths."""
+    slabs = _division_slabs(n, size, rng, construction)
     out = np.empty((size, n))
-    for rows, slab in _division_slabs(n, size, rng, construction):
+    for rows, slab in slabs:
         out[rows] = slab
     return out
 
@@ -225,8 +230,9 @@ def estimate_ccdf_all_ranks(
     def job(index: int, count: int) -> np.ndarray:
         # hits[k, j] = number of draws with z_(k+1) > xs[j], counted on each rank's
         # sorted draws: a (count, n, len(xs)) comparison array is hundreds of MB
+        slabs = _division_slabs(n, count, chunk_rng(config.seed, index), config.construction)
         hits = np.full((n, xs.size), count, dtype=np.intp)
-        for _, slab in _division_slabs(n, count, chunk_rng(config.seed, index), config.construction):
+        for _, slab in slabs:
             ordered = np.sort(slab.T, axis=1)
             hits -= np.stack([np.searchsorted(row, xs, side="right") for row in ordered])
         return _indicator_triple(hits, count)
@@ -238,8 +244,7 @@ def estimate_ccdf(
     n: int, k: int, xs: Sequence[float], config: SimConfig, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical survival fractions of z_(k) with standard errors."""
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of range for field size n={n}")
+    _check_rank(n, k)
     p, se = estimate_ccdf_all_ranks(n, xs, config, workers)
     return p[k - 1], se[k - 1]
 
@@ -247,8 +252,7 @@ def estimate_ccdf(
 def _moment_estimate(
     n: int, k: int, config: SimConfig, power: int, workers: int
 ) -> McEstimate:
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k={k} out of range for field size n={n}")
+    _check_rank(n, k)
 
     def job(index: int, count: int) -> np.ndarray:
         values = np.empty(count)

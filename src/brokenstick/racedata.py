@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import io
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
@@ -255,8 +256,6 @@ def parse_races(
     """
     if not overround_delta >= 0.0:  # NaN too, which would reject every race
         raise ValueError(f"overround_delta must be >= 0, got {overround_delta}")
-    from array import array  # here, so importing the package does not load it
-
     width = len(CSV_COLUMNS)
     columns = (0, 1, 3)  # race id, horse id, won: each coded through its own table
     tables = [defaultdict(count().__next__) for _ in columns]  # text -> code

@@ -452,6 +452,19 @@ class TestAnalyze:
         assert err.startswith("error: CSV error at line 3: field larger than field limit")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("ranks,repeated", [("1,1", "1"), ("1,01", "1"), ("longshot,2,longshot", "longshot")])
+    def test_repeated_curve_rank_writes_nothing(self, capsys, tmp_path, race_csv, ranks, repeated):
+        # each rank's curve files were staged twice under one temporary name
+        outdir = tmp_path / "out_repeat"
+        outdir.mkdir()
+        code, _, err = run(
+            capsys, "analyze", "--input", str(race_csv), "--output-dir", str(outdir),
+            "--eccdf-ranks", ranks,
+        )
+        assert code == EXIT_USAGE
+        assert f"argument --eccdf-ranks: rank {repeated} given twice" in err
+        assert not list(outdir.iterdir())
+
     def test_zero_accepted_races(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -526,6 +539,22 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(a), str(b))
         assert code == EXIT_USAGE
         assert "missing in" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--n", "5", "--stat", "mean"],
+    ["simulate", "--n", "5", "--k", "1", "--stat", "mean", "--samples", "10"],
+    ["analyze", "--input", "races.csv", "--output-dir", "out"],
+    ["compare", "a.json", "b.json"],
+])
+@pytest.mark.parametrize("digits", ["-1", "0"])
+def test_digits_below_one_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, digits):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--digits", digits)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument --digits: digits must be an integer >= 1, got '{digits}'" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_subcommand(capsys):

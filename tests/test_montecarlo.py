@@ -194,6 +194,28 @@ def test_estimate_ccdf_validation():
         estimate_ccdf(3, 1, [0.5, 0.1], config)
 
 
+_TEN = SimConfig(samples=10)
+
+
+@pytest.mark.parametrize("call,args", [
+    (estimate_mean, (5, True, _TEN)),  # was rank 1's estimate
+    (estimate_ccdf, (5, True, [0.1], _TEN)),
+    (estimate_mean, (5, 2.0, _TEN)),  # was IndexError
+    (estimate_second_moment, (5.0, 2, _TEN)),  # was TypeError
+    (estimate_ccdf_all_ranks, (5.0, [0.1], _TEN)),
+    (estimate_winner_stats, (True, _TEN)),
+    (sample_divisions, (5.0, 10, chunk_rng(0, 0))),
+    (sample_races, (True, 10, chunk_rng(0, 0))),
+    (SimConfig, (True,)),
+    (SimConfig, (2.5,)),
+    (SimConfig, (10, 1.5)),  # seed
+    (SimConfig, (10, 0, "uniform-cuts", 2.5)),  # chunk_size
+])
+def test_non_integer_sizes_ranks_and_budgets_are_rejected(call, args):
+    with pytest.raises(ValueError, match="field size must be|rank k=|must be an integer"):
+        call(*args)
+
+
 @pytest.mark.parametrize("xs", [[0.1, float("nan")], [float("nan"), 0.1]])
 def test_estimate_ccdf_rejects_nan(xs):
     # NaN fails every comparison, so [nan, 0.1] passed the ascending check
